@@ -19,6 +19,12 @@ func TestOperationsDocCoversSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The synchronous endpoints are registered from the shared route
+	// table in internal/api, not by literal mux calls.
+	table, err := os.ReadFile("../../internal/api/jobs.go")
+	if err != nil {
+		t.Fatal(err)
+	}
 	doc, err := os.ReadFile("../../OPERATIONS.md")
 	if err != nil {
 		t.Fatalf("OPERATIONS.md must exist at the repo root: %v", err)
@@ -41,6 +47,10 @@ func TestOperationsDocCoversSurface(t *testing.T) {
 	routeRE := regexp.MustCompile(`mux\.Handle(?:Func)?\("(?:GET|POST|DELETE) ([^"]+)"`)
 	var routes []string
 	for _, m := range routeRE.FindAllStringSubmatch(string(surface), -1) {
+		routes = append(routes, m[1])
+	}
+	tableRE := regexp.MustCompile(`\{"(/v1/[^"]+)", func`)
+	for _, m := range tableRE.FindAllStringSubmatch(string(table), -1) {
 		routes = append(routes, m[1])
 	}
 	if len(routes) < 8 {

@@ -447,51 +447,6 @@ type CosimResponse struct {
 	Series []CosimSample `json:"series,omitempty"`
 }
 
-// Envelope is the legacy keyed-union submit body: exactly one set
-// field names the kind, {"plan": {...}}, {"cosim": {...}},
-// {"sweep": {...}} or {"montecarlo": {...}}. New clients should use
-// the typed JobEnvelope; both are accepted by POST /v1/jobs (see
-// DecodeJobRequest).
-type Envelope struct {
-	Plan        *PlanRequest        `json:"plan,omitempty"`
-	Cosim       *CosimRequest       `json:"cosim,omitempty"`
-	Sweep       *SweepRequest       `json:"sweep,omitempty"`
-	Montecarlo  *MonteCarloRequest  `json:"montecarlo,omitempty"`
-	Audit       *AuditRequest       `json:"audit,omitempty"`
-	Cosimstream *CosimStreamRequest `json:"cosimstream,omitempty"`
-}
-
-// Request unwraps the envelope, erroring unless exactly one kind is
-// present.
-func (e *Envelope) Request() (Request, error) {
-	var reqs []Request
-	if e.Plan != nil {
-		reqs = append(reqs, e.Plan)
-	}
-	if e.Cosim != nil {
-		reqs = append(reqs, e.Cosim)
-	}
-	if e.Sweep != nil {
-		reqs = append(reqs, e.Sweep)
-	}
-	if e.Montecarlo != nil {
-		reqs = append(reqs, e.Montecarlo)
-	}
-	if e.Audit != nil {
-		reqs = append(reqs, e.Audit)
-	}
-	if e.Cosimstream != nil {
-		reqs = append(reqs, e.Cosimstream)
-	}
-	switch len(reqs) {
-	case 1:
-		return reqs[0], nil
-	case 0:
-		return nil, fmt.Errorf(`api: envelope carries no request (want {"plan": {...}}, {"cosim": {...}}, {"sweep": {...}}, {"montecarlo": {...}}, {"audit": {...}} or {"cosimstream": {...}})`)
-	}
-	return nil, fmt.Errorf("api: envelope carries %d requests, want exactly one", len(reqs))
-}
-
 func validGrid(nx, ny int) error {
 	if nx < 4 || nx > 256 || ny < 4 || ny > 256 {
 		return fmt.Errorf("grid %dx%d out of range [4, 256]", nx, ny)

@@ -138,11 +138,11 @@ func TestCosimMaxSamplesClamp(t *testing.T) {
 }
 
 func TestEnvelope(t *testing.T) {
-	var e Envelope
-	if err := json.Unmarshal([]byte(`{"plan": {"chips": 2}}`), &e); err != nil {
+	var e JobEnvelope
+	if err := json.Unmarshal([]byte(`{"type": "simulate", "request": {"chips": 2}}`), &e); err != nil {
 		t.Fatal(err)
 	}
-	req, err := e.Request()
+	req, err := e.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +150,13 @@ func TestEnvelope(t *testing.T) {
 		t.Fatalf("kind: got %q", req.Kind())
 	}
 
-	var both Envelope
-	both.Plan = &PlanRequest{}
-	both.Cosim = &CosimRequest{}
-	if _, err := both.Request(); err == nil {
-		t.Fatal("envelope with both kinds must error")
+	unknown := JobEnvelope{Type: "frobnicate", Request: json.RawMessage(`{}`)}
+	if _, err := unknown.Decode(); err == nil || !strings.Contains(err.Error(), "unknown type") {
+		t.Fatalf("envelope of unknown type: %v", err)
 	}
-	var none Envelope
-	if _, err := none.Request(); err == nil || !strings.Contains(err.Error(), "no request") {
-		t.Fatalf("empty envelope: %v", err)
+	empty := JobEnvelope{Type: "simulate"}
+	if _, err := empty.Decode(); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Fatalf("envelope without payload: %v", err)
 	}
 }
 

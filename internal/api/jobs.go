@@ -12,9 +12,7 @@ import (
 //	{"type": "montecarlo", "request": {"chips": 4, ...}}
 //
 // Accepted types are "simulate" (alias "plan"), "cosim", "sweep",
-// "montecarlo", "audit" and "cosimstream". The legacy keyed union (Envelope) is still accepted
-// on the same endpoint — DecodeJobRequest sniffs which shape a body
-// uses — so existing clients keep working unchanged.
+// "montecarlo", "audit" and "cosimstream".
 type JobEnvelope struct {
 	Type    string          `json:"type"`
 	Request json.RawMessage `json:"request"`
@@ -82,32 +80,34 @@ func NewJobEnvelope(req Request) (*JobEnvelope, error) {
 	return &JobEnvelope{Type: t, Request: payload}, nil
 }
 
-// DecodeJobRequest decodes a submit body in either accepted shape —
-// the typed JobEnvelope (a "type" member is present) or the legacy
-// keyed union — strictly, rejecting unknown fields in both. It
+// DecodeJobRequest decodes a typed JobEnvelope submit body strictly,
+// rejecting unknown fields in the envelope and in the payload. It
 // returns the request un-normalized and un-validated; callers apply
-// Normalize/Validate exactly as before.
+// Normalize/Validate exactly as for the synchronous endpoints.
 func DecodeJobRequest(body []byte) (Request, error) {
-	var probe struct {
-		Type *string `json:"type"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return nil, fmt.Errorf("api: decode job request: %w", err)
-	}
-	if probe.Type != nil {
-		var env JobEnvelope
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&env); err != nil {
-			return nil, fmt.Errorf("api: decode job envelope: %w", err)
-		}
-		return env.Decode()
-	}
-	var env Envelope
+	var env JobEnvelope
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("api: decode job request: %w", err)
+		return nil, fmt.Errorf(`api: decode job envelope {"type": ..., "request": {...}}: %w`, err)
 	}
-	return env.Request()
+	return env.Decode()
+}
+
+// Route is one synchronous endpoint of the HTTP surface: the path it
+// is served under and a constructor of the request it decodes.
+type Route struct {
+	Path string
+	New  func() Request
+}
+
+// SyncRoutes lists the synchronous POST endpoints. Both HTTP tiers —
+// the backend (internal/httpapi) and the router — register exactly
+// these, so a new kind is added in one place.
+var SyncRoutes = []Route{
+	{"/v1/plan", func() Request { return &PlanRequest{} }},
+	{"/v1/cosim", func() Request { return &CosimRequest{} }},
+	{"/v1/sweep", func() Request { return &SweepRequest{} }},
+	{"/v1/montecarlo", func() Request { return &MonteCarloRequest{} }},
+	{"/v1/audit", func() Request { return &AuditRequest{} }},
 }

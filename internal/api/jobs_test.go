@@ -30,25 +30,6 @@ func TestDecodeJobRequestTypedEnvelope(t *testing.T) {
 	}
 }
 
-func TestDecodeJobRequestLegacyUnion(t *testing.T) {
-	req, err := DecodeJobRequest([]byte(`{"plan": {"chips": 3}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := req.(*PlanRequest)
-	if !ok || p.Chips != 3 {
-		t.Fatalf("legacy union decoded to %#v", req)
-	}
-	// The new kind works through the legacy union too.
-	req, err = DecodeJobRequest([]byte(`{"montecarlo": {"samples": 16, "params": {"h": {"kind": "uniform", "min": 0.5, "max": 2}}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Kind() != "montecarlo" {
-		t.Fatalf("kind %q, want montecarlo", req.Kind())
-	}
-}
-
 func TestDecodeJobRequestRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -59,9 +40,7 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		{"missing payload", `{"type": "simulate"}`, "missing"},
 		{"unknown envelope field", `{"type": "simulate", "request": {}, "extra": 1}`, "unknown field"},
 		{"unknown payload field", `{"type": "simulate", "request": {"chipz": 1}}`, "unknown field"},
-		{"legacy unknown field", `{"plan": {"chipz": 1}}`, "unknown field"},
-		{"empty body", `{}`, "no request"},
-		{"two legacy kinds", `{"plan": {}, "cosim": {}}`, "exactly one"},
+		{"empty body", `{}`, "unknown type"},
 		{"not json", `nope`, "decode"},
 	}
 	for _, c := range cases {
@@ -72,6 +51,26 @@ func TestDecodeJobRequestRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// A keyed body ({"plan": {...}}) is not a typed envelope, whatever
+// kind it names; the rejection names the shape that is.
+func TestDecodeJobRequestRejectsKeyedUnion(t *testing.T) {
+	bodies := []string{
+		`{"plan": {"chips": 3}}`,
+		`{"sweep": {}}`,
+		`{"montecarlo": {"samples": 16, "params": {"h": {"kind": "uniform", "min": 0.5, "max": 2}}}}`,
+	}
+	for _, body := range bodies {
+		req, err := DecodeJobRequest([]byte(body))
+		if err == nil {
+			t.Errorf("%s: decoded to %#v", body, req)
+			continue
+		}
+		if want := `{"type": ..., "request": {...}}`; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not mention %q", body, err, want)
 		}
 	}
 }

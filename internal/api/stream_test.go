@@ -86,15 +86,6 @@ func TestCosimStreamEnvelope(t *testing.T) {
 	if sr.Chip != "low-power" || sr.Intervals != 100 || len(sr.Trace) != 1 {
 		t.Errorf("decoded request: %+v", sr)
 	}
-	// Legacy keyed union.
-	raw = []byte(`{"cosimstream":{"chips":2}}`)
-	req, err = DecodeJobRequest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := req.(*CosimStreamRequest); !ok {
-		t.Fatalf("keyed union unwrapped %T, want *CosimStreamRequest", req)
-	}
 	// The typed-jobs registry knows the kind.
 	if _, ok := jobTypes("cosimstream"); !ok {
 		t.Error("jobTypes does not know cosimstream")

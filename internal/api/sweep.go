@@ -139,11 +139,17 @@ func (r *SweepRequest) clone() *SweepRequest {
 	return &c
 }
 
+// TotalCells is the expansion size, chips × depths × coolants ×
+// thresholds.
+func (r *SweepRequest) TotalCells() int {
+	return len(r.Chips) * len(r.Depths) * len(r.Coolants) * len(r.ThresholdsC)
+}
+
 // Cells expands the normalized request into its plan cells in
 // canonical order: chips (outer) × depths × coolants × thresholds
 // (inner). Every returned PlanRequest is already normalized.
 func (r *SweepRequest) Cells() []*PlanRequest {
-	out := make([]*PlanRequest, 0, len(r.Chips)*len(r.Depths)*len(r.Coolants)*len(r.ThresholdsC))
+	out := make([]*PlanRequest, 0, r.TotalCells())
 	for _, chip := range r.Chips {
 		for _, depth := range r.Depths {
 			for _, coolant := range r.Coolants {

@@ -144,8 +144,14 @@ func TestSweepCellsMatchPlanRequests(t *testing.T) {
 }
 
 func TestSweepEnvelope(t *testing.T) {
-	e := Envelope{Sweep: &SweepRequest{}}
-	req, err := e.Request()
+	env, err := NewJobEnvelope(&SweepRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Type != "sweep" {
+		t.Fatalf("type: %q", env.Type)
+	}
+	req, err := env.Decode()
 	if err != nil {
 		t.Fatal(err)
 	}

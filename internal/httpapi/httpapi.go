@@ -65,21 +65,11 @@ func NewHandler(e *service.Engine, opts Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
 	mux.HandleFunc("GET /v1/metrics", s.metrics)
-	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		s.sync(w, r, &api.PlanRequest{})
-	})
-	mux.HandleFunc("POST /v1/cosim", func(w http.ResponseWriter, r *http.Request) {
-		s.sync(w, r, &api.CosimRequest{})
-	})
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		s.sync(w, r, &api.SweepRequest{})
-	})
-	mux.HandleFunc("POST /v1/montecarlo", func(w http.ResponseWriter, r *http.Request) {
-		s.sync(w, r, &api.MonteCarloRequest{})
-	})
-	mux.HandleFunc("POST /v1/audit", func(w http.ResponseWriter, r *http.Request) {
-		s.sync(w, r, &api.AuditRequest{})
-	})
+	for _, route := range api.SyncRoutes {
+		mux.HandleFunc("POST "+route.Path, func(w http.ResponseWriter, r *http.Request) {
+			s.sync(w, r, route.New())
+		})
+	}
 	mux.HandleFunc("POST /v1/jobs", s.submit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.status)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.result)
@@ -281,9 +271,7 @@ func (s *server) sync(w http.ResponseWriter, r *http.Request, req api.Request) {
 }
 
 // submit is the canonical job-submission endpoint: it accepts the
-// typed envelope ({"type": ..., "request": {...}}) as well as the
-// legacy keyed union ({"sweep": {...}}), dispatching on the body's
-// shape (api.DecodeJobRequest).
+// typed envelope ({"type": ..., "request": {...}}, api.DecodeJobRequest).
 func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<20))
 	if err != nil {

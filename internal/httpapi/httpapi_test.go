@@ -260,7 +260,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	c := newTestClient(t, ts)
 	ctx := context.Background()
 
-	in, err := c.Submit(ctx, fastPlan)
+	in, err := c.SubmitJob(ctx, fastPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 
 	ctxWait, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
-	got, err := c.Wait(ctxWait, in.ID)
+	got, err := c.WaitJob(ctxWait, in.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	}
 
 	// A second identical async submit is a cache hit: terminal at once.
-	hit, err := c.Submit(ctx, fastPlan)
+	hit, err := c.SubmitJob(ctx, fastPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestSweepJobProgress(t *testing.T) {
 	c := newTestClient(t, ts)
 	ctx := context.Background()
 
-	in, err := c.Submit(ctx, &api.SweepRequest{
+	in, err := c.SubmitJob(ctx, &api.SweepRequest{
 		Chips:    []string{"lp"},
 		Depths:   []int{1, 2, 3},
 		Coolants: []string{"water"},
@@ -318,7 +318,7 @@ func TestSweepJobProgress(t *testing.T) {
 
 	ctxWait, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
-	got, err := c.Wait(ctxWait, in.ID)
+	got, err := c.WaitJob(ctxWait, in.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestResultWhilePending(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1})
 	c := newTestClient(t, ts)
 	ctx := context.Background()
-	blocker, err := c.Submit(ctx, slowPlan)
+	blocker, err := c.SubmitJob(ctx, slowPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestCancelStopsSolver(t *testing.T) {
 	ts, e := newTestServer(t, service.Config{})
 	c := newTestClient(t, ts)
 	ctx := context.Background()
-	in, err := c.Submit(ctx, slowPlan)
+	in, err := c.SubmitJob(ctx, slowPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	ids := make([]string, 0, 4)
 	for n := 1; n <= 4; n++ {
-		in, err := c.Submit(context.Background(), &api.PlanRequest{
+		in, err := c.SubmitJob(context.Background(), &api.PlanRequest{
 			Chip: "lp", Chips: n, GridNX: 8, GridNY: 8,
 		})
 		if err != nil {

@@ -83,20 +83,16 @@ func TestJobsEnvelopeMonteCarloAsync(t *testing.T) {
 	}
 }
 
-// The legacy keyed union must keep working on POST /v1/jobs — it is a
-// shim over the same decode path, not a second API.
-func TestJobsLegacyUnionStillAccepted(t *testing.T) {
+// A keyed body ({"plan": {...}}) is rejected on POST /v1/jobs with a
+// bad_request that names the typed envelope.
+func TestJobsRejectsKeyedUnion(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{})
 	resp, body := post(t, ts.URL+"/v1/jobs", `{"plan": {"chip": "lp", "chips": 1, "grid_nx": 8, "grid_ny": 8}}`)
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy union rejected: %d %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("keyed union accepted: %d %s", resp.StatusCode, body)
 	}
-	var j struct {
-		ID   string `json:"id"`
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(body, &j); err != nil || j.ID == "" || j.Kind != "plan" {
-		t.Fatalf("legacy union snapshot: %s", body)
+	if !strings.Contains(string(body), "bad_request") || !strings.Contains(string(body), `\"type\"`) {
+		t.Fatalf("error envelope does not name the typed envelope: %s", body)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestQueueFull429WithRetryAfter(t *testing.T) {
 	ts, _ := newTestServer(t, service.Config{Workers: 1, QueueDepth: 1})
 	// Distinct slow bodies so neither caching nor dedup absorbs them.
 	body := func(chips int) string {
-		return fmt.Sprintf(`{"plan": {"chip": "lp", "chips": %d, "grid_nx": 64, "grid_ny": 64, "converge_leakage": true}}`, chips)
+		return fmt.Sprintf(`{"type": "simulate", "request": {"chip": "lp", "chips": %d, "grid_nx": 64, "grid_ny": 64, "converge_leakage": true}}`, chips)
 	}
 	var shed *http.Response
 	var shedBody []byte
@@ -127,7 +127,7 @@ func TestClientRidesOutQueueFull(t *testing.T) {
 	for chips := 14; chips <= 15; chips++ {
 		p := *slowPlan
 		p.Chips = chips
-		j, err := c.Submit(context.Background(), &p)
+		j, err := c.SubmitJob(context.Background(), &p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestClientRidesOutQueueFull(t *testing.T) {
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	j, err := c.Submit(ctx, fastPlan)
+	j, err := c.SubmitJob(ctx, fastPlan)
 	if err != nil {
 		t.Fatalf("client did not ride out the full queue: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestClientRidesOutQueueFull(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
 		t.Fatalf("accepted after %v; the 429's Retry-After (>= 1s) was not honored", elapsed)
 	}
-	if got, err := c.Wait(ctx, j.ID); err != nil || got.State != "done" {
+	if got, err := c.WaitJob(ctx, j.ID); err != nil || got.State != "done" {
 		t.Fatalf("retried job: %+v, %v", got, err)
 	}
 }

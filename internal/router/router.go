@@ -186,21 +186,11 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.healthz)
 	mux.HandleFunc("GET /v1/metrics", rt.metricsHandler)
-	mux.HandleFunc("POST /v1/plan", func(w http.ResponseWriter, r *http.Request) {
-		rt.syncProxy(w, r, &api.PlanRequest{})
-	})
-	mux.HandleFunc("POST /v1/cosim", func(w http.ResponseWriter, r *http.Request) {
-		rt.syncProxy(w, r, &api.CosimRequest{})
-	})
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		rt.syncProxy(w, r, &api.SweepRequest{})
-	})
-	mux.HandleFunc("POST /v1/montecarlo", func(w http.ResponseWriter, r *http.Request) {
-		rt.syncProxy(w, r, &api.MonteCarloRequest{})
-	})
-	mux.HandleFunc("POST /v1/audit", func(w http.ResponseWriter, r *http.Request) {
-		rt.syncProxy(w, r, &api.AuditRequest{})
-	})
+	for _, route := range api.SyncRoutes {
+		mux.HandleFunc("POST "+route.Path, func(w http.ResponseWriter, r *http.Request) {
+			rt.syncProxy(w, r, route.New())
+		})
+	}
 	mux.HandleFunc("POST /v1/jobs", rt.submit)
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.jobProxy)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", rt.jobProxy)
@@ -265,7 +255,7 @@ func keyOf(req api.Request) (string, int, string, error) {
 	return req.CacheKey(), 0, "", nil
 }
 
-// syncProxy serves POST /v1/{plan,cosim,sweep}: answer from the edge
+// syncProxy serves the synchronous routes (api.SyncRoutes): answer from the edge
 // cache when possible, otherwise forward to the key's backend (with
 // failover down the ring) and spill a 200 into the edge cache on the
 // way back. A 202 — the backend degraded the sync request to an async
@@ -316,9 +306,8 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.ErrCodeBadRequest, err)
 		return
 	}
-	// Decode exactly as the backends do — typed envelope or legacy
-	// keyed union — so a malformed submission dies at the edge and a
-	// valid one shards on the same canonical key either way.
+	// Decode exactly as the backends do, so a malformed submission dies
+	// at the edge and a valid one shards on the same canonical key.
 	req, err := api.DecodeJobRequest(body)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.ErrCodeBadRequest, err)

@@ -276,7 +276,7 @@ func TestRouterAsyncAffinity(t *testing.T) {
 	f := newFleet(t, 3, nil)
 	c := f.client(t)
 	ctx := context.Background()
-	j, err := c.Submit(ctx, &api.PlanRequest{Chip: "lp", Chips: 1, GridNX: 8, GridNY: 8})
+	j, err := c.SubmitJob(ctx, &api.PlanRequest{Chip: "lp", Chips: 1, GridNX: 8, GridNY: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestRouterAsyncAffinity(t *testing.T) {
 	if !ok || f.router.byID[owner] == nil {
 		t.Fatalf("job ID %q carries no backend affinity", j.ID)
 	}
-	final, err := c.Wait(ctx, j.ID)
+	final, err := c.WaitJob(ctx, j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +314,11 @@ func TestRouterEdgeServesAsyncSubmitAndHarvestsResults(t *testing.T) {
 	c := f.client(t)
 	ctx := context.Background()
 	req := &api.PlanRequest{Chip: "lp", Chips: 1, GridNX: 8, GridNY: 8}
-	j, err := c.Submit(ctx, req)
+	j, err := c.SubmitJob(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, j.ID); err != nil {
+	if _, err := c.WaitJob(ctx, j.ID); err != nil {
 		t.Fatal(err)
 	}
 	if snap := f.router.Metrics(); snap.EdgeCacheHarvests != 1 {
@@ -326,7 +326,7 @@ func TestRouterEdgeServesAsyncSubmitAndHarvestsResults(t *testing.T) {
 	}
 	submitted := f.jobsSubmitted(0) + f.jobsSubmitted(1)
 
-	j2, err := c.Submit(ctx, req)
+	j2, err := c.SubmitJob(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,5 +499,37 @@ func TestRouterUnknownJobID(t *testing.T) {
 			json.Unmarshal(buf.Bytes(), &env) != nil || env.Error.Code != httpapi.ErrCodeNotFound {
 			t.Fatalf("id %q: %d %s", id, resp.StatusCode, buf.Bytes())
 		}
+	}
+}
+
+// TestSyncRoutesReachDecoder walks the shared route table on both
+// tiers: every synchronous path must construct its own kind
+// (/v1/<kind>), be registered (no 404/405), and decode into that
+// kind's request. A JSON array is never a valid
+// request, and the decode error names the Go type it was decoded
+// into, so the 400 bad_request proves which decoder ran.
+func TestSyncRoutesReachDecoder(t *testing.T) {
+	f := newFleet(t, 1, nil)
+	tiers := map[string]string{"backend": f.servers[0].URL, "router": f.edge.URL}
+	for _, route := range api.SyncRoutes {
+		if kind := route.New().Kind(); "/v1/"+kind != route.Path {
+			t.Errorf("route %s constructs a %s request", route.Path, kind)
+		}
+		wantType := strings.TrimPrefix(fmt.Sprintf("%T", route.New()), "*")
+		for tier, base := range tiers {
+			resp, body := postJSON(t, base+route.Path, `[]`)
+			var env httpapi.ErrorBody
+			if resp.StatusCode != http.StatusBadRequest ||
+				json.Unmarshal(body, &env) != nil || env.Error.Code != httpapi.ErrCodeBadRequest {
+				t.Errorf("%s POST %s: %d %s", tier, route.Path, resp.StatusCode, body)
+				continue
+			}
+			if !strings.Contains(env.Error.Message, wantType) {
+				t.Errorf("%s POST %s: decoded by the wrong kind (want %s): %s", tier, route.Path, wantType, env.Error.Message)
+			}
+		}
+	}
+	if got := f.jobsSubmitted(0); got != 0 {
+		t.Fatalf("undecodable requests reached the engine (%d submissions)", got)
 	}
 }

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"waterimm/internal/api"
 	"waterimm/internal/core"
@@ -11,34 +10,11 @@ import (
 	"waterimm/internal/stack"
 )
 
-// runAudit orchestrates one chip-roadmap audit job: fan the (chip,
-// coolant, year) cells out as ordinary plan submissions, wait for
-// each, and reduce to first-failing-year rows.
-func (e *Engine) runAudit(j *job, req *api.AuditRequest) {
-	defer e.sweeps.Done()
-	if !e.start(j) {
-		return
-	}
-	resp, err := e.guardedCollectAudit(j, req)
-	e.finalize(j, resp, err)
-}
-
-// guardedCollectAudit gives the audit orchestrator the same panic
-// isolation workers get: a panic fails the job, not the daemon.
-func (e *Engine) guardedCollectAudit(j *job, req *api.AuditRequest) (resp *api.AuditResponse, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return e.collectAudit(j, req)
-}
-
-// collectAudit submits every roadmap cell up front — the cells are
-// canonical perturbed plan requests, so identical years across audits,
-// prior Monte-Carlo draws and the result cache all collapse into
-// dedup/cache hits — then gathers them in (chip, coolant, year) order
-// and reduces each (chip, coolant) series to its first failing year.
+// reduceAudit reduces the roadmap cells, in (chip, coolant, year)
+// order, to each (chip, coolant) series' first failing year. The cells
+// are canonical perturbed plan requests, so identical years across
+// audits, prior Monte-Carlo draws and the result cache all collapse
+// into cache/dedup hits.
 //
 // The CHF comparison (hotspot power density vs the coolant's boiling
 // limit) is recomputed here from the floorplan rather than trusted
@@ -47,24 +23,14 @@ func (e *Engine) guardedCollectAudit(j *job, req *api.AuditRequest) (resp *api.A
 // two-phase fields existed. The recompute is a rasterization, not a
 // solve — microseconds against the cell's milliseconds — and makes the
 // audit verdict deterministic regardless of cache age.
-func (e *Engine) collectAudit(j *job, req *api.AuditRequest) (*api.AuditResponse, error) {
-	cells := req.Cells()
-	submitted := make([]JobInfo, len(cells))
-	deduped := make([]bool, len(cells))
-	for i, cell := range cells {
-		in, err := e.submitCell(j.ctx, cell)
-		if err != nil {
-			return nil, fmt.Errorf("service: audit cell %d/%d: %w", i+1, len(cells), err)
-		}
-		submitted[i] = in
-		deduped[i] = in.Deduped
-	}
+func (e *Engine) reduceAudit(req *api.AuditRequest, res []cellResult) (*api.AuditResponse, error) {
 	resp := &api.AuditResponse{
 		StartYear:     req.StartYear,
 		EndYear:       req.EndYear,
 		GrowthPerYear: req.GrowthPerYear,
-		TotalCells:    len(cells),
+		TotalCells:    len(res),
 	}
+	resp.CachedCells, resp.DedupedCells = tally(res)
 	years := req.EndYear - req.StartYear + 1
 	i := 0
 	for _, chipName := range req.Chips {
@@ -81,17 +47,7 @@ func (e *Engine) collectAudit(j *job, req *api.AuditRequest) (*api.AuditResponse
 			}
 			row := api.AuditRow{Chip: chipName, Coolant: coolantName, Years: make([]api.AuditYear, 0, years)}
 			for y := 0; y < years; y++ {
-				in, err := e.Wait(j.ctx, submitted[i].ID)
-				if err != nil {
-					return nil, fmt.Errorf("service: audit cell %d/%d: %w", i+1, len(cells), err)
-				}
-				if in.State != StateDone {
-					return nil, fmt.Errorf("service: audit cell %d/%d %s: %s", i+1, len(cells), in.State, in.Error)
-				}
-				plan, ok := in.Result.(*api.PlanResponse)
-				if !ok {
-					return nil, fmt.Errorf("service: audit cell %d/%d returned %T", i+1, len(cells), in.Result)
-				}
+				plan := res[i].Plan
 				year := req.StartYear + y
 				scale := req.YearScale(year)
 				ay := api.AuditYear{
@@ -103,7 +59,7 @@ func (e *Engine) collectAudit(j *job, req *api.AuditRequest) (*api.AuditResponse
 				}
 				hotspot, limit, exceeded, err := e.auditCHF(chip, coolant, req, topFHz, scale)
 				if err != nil {
-					return nil, fmt.Errorf("service: audit cell %d/%d: %w", i+1, len(cells), err)
+					return nil, fmt.Errorf("service: audit cell %d/%d: %w", i+1, len(res), err)
 				}
 				ay.HotspotWCM2 = hotspot / 1e4
 				ay.CHFLimitWCM2 = limit / 1e4
@@ -115,17 +71,6 @@ func (e *Engine) collectAudit(j *job, req *api.AuditRequest) (*api.AuditResponse
 					row.FirstThermalFailYear = year
 				}
 				row.Years = append(row.Years, ay)
-
-				e.mu.Lock()
-				j.progress.DoneCells++
-				if in.CacheHit {
-					j.progress.CachedCells++
-					resp.CachedCells++
-				}
-				e.mu.Unlock()
-				if deduped[i] {
-					resp.DedupedCells++
-				}
 				i++
 			}
 			row.FirstFailYear = firstOf(row.FirstCHFFailYear, row.FirstThermalFailYear)

@@ -36,6 +36,9 @@ func TestAuditLifecycle(t *testing.T) {
 	if got.State != StateDone {
 		t.Fatalf("state %s, error %q", got.State, got.Error)
 	}
+	if got.Progress == nil || got.Progress.DoneCells != got.Progress.TotalCells {
+		t.Fatalf("final progress: %+v", got.Progress)
+	}
 	resp, ok := got.Result.(*api.AuditResponse)
 	if !ok {
 		t.Fatalf("result type %T", got.Result)

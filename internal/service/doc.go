@@ -37,9 +37,10 @@
 //     ErrOverloaded), and sheds accepted jobs that overstay it at
 //     dequeue (ErrShed). Depth rejections (ErrQueueFull) carry the
 //     same Retry-After hint for the HTTP 429 path.
-//   - Panic isolation: a panic on a worker or in the sweep
-//     orchestrator is recovered into a *PanicError that fails the one
-//     job (counted as panics_recovered) while the pool keeps serving.
+//   - Panic isolation: a panic on a worker or in an orchestrator
+//     (sweep, montecarlo, audit, cosimstream) is recovered into a
+//     *PanicError that fails the one job (counted as panics_recovered)
+//     while the pool keeps serving.
 //
 // Failed jobs expose a stable machine code in JobInfo.ErrorCode
 // ("canceled", "deadline_exceeded", "shed", "panic", "internal") so

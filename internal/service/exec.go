@@ -15,9 +15,9 @@ import (
 
 // execute dispatches a validated, normalized request to its solver.
 // The context is threaded into the solver loops, so cancelling it
-// abandons the simulation promptly. Sweep and montecarlo requests
-// never reach here; the engine orchestrates them in runSweep and
-// runMonteCarlo.
+// abandons the simulation promptly. The orchestrated kinds (sweep,
+// montecarlo, audit, cosimstream) never reach here; Submit hands them
+// to orchestrate instead.
 func (e *Engine) execute(ctx context.Context, req api.Request) (any, error) {
 	switch r := req.(type) {
 	case *api.PlanRequest:

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,33 +50,49 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestSweepPanicRecovered gives the sweep orchestrator goroutine the
-// same isolation check.
+// TestSweepPanicRecovered gives every fan-out kind the same isolation
+// check: every cell execution panics, which the cell's worker
+// recovers; the shared cell executor then fails the job cleanly on the
+// failed cell, and the engine keeps serving.
 func TestSweepPanicRecovered(t *testing.T) {
-	t.Cleanup(faultinject.Reset)
-	e := New(Config{})
-	defer e.Close()
+	cases := []struct {
+		kind string
+		req  api.Request
+	}{
+		{"sweep", &api.SweepRequest{Chips: []string{"lp"}, Depths: []int{1}, GridNX: 8, GridNY: 8}},
+		{"montecarlo", mcServiceRequest(8)},
+		{"audit", auditServiceRequest()},
+	}
+	for _, c := range cases {
+		t.Run(c.kind, func(t *testing.T) {
+			t.Cleanup(faultinject.Reset)
+			e := New(Config{})
+			defer e.Close()
 
-	// Every cell execution panics, which the cell's worker recovers;
-	// the sweep then fails cleanly on the failed cell.
-	faultinject.Arm(faultinject.SiteExecute, faultinject.Fault{Kind: faultinject.KindPanic})
-	in, err := e.Submit(&api.SweepRequest{
-		Chips: []string{"lp"}, Depths: []int{1}, GridNX: 8, GridNY: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitDone(t, e, in.ID)
-	if got.State != StateFailed {
-		t.Fatalf("sweep over panicking cells: %s", got.State)
-	}
-	faultinject.Reset()
-	in, err = e.Submit(fastPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitDone(t, e, in.ID); got.State != StateDone {
-		t.Fatalf("engine wedged after sweep panic: %s (%s)", got.State, got.Error)
+			faultinject.Arm(faultinject.SiteExecute, faultinject.Fault{Kind: faultinject.KindPanic})
+			in, err := e.Submit(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := waitDone(t, e, in.ID)
+			if got.State != StateFailed {
+				t.Fatalf("%s over panicking cells: %s", c.kind, got.State)
+			}
+			if want := c.kind + " cell 1/"; !strings.Contains(got.Error, want) {
+				t.Fatalf("error %q does not name %q", got.Error, want)
+			}
+			if m := e.Metrics(); m.PanicsRecovered == 0 {
+				t.Fatal("cell panics not counted as panics_recovered")
+			}
+			faultinject.Reset()
+			in, err = e.Submit(fastPlan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waitDone(t, e, in.ID); got.State != StateDone {
+				t.Fatalf("engine wedged after %s panic: %s (%s)", c.kind, got.State, got.Error)
+			}
+		})
 	}
 }
 

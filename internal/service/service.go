@@ -179,8 +179,9 @@ type JobInfo struct {
 	// ErrorCode classifies a failure with a stable machine code (the
 	// Code* constants); empty for done jobs.
 	ErrorCode string `json:"error_code,omitempty"`
-	// Progress is the per-cell completion state of a sweep or
-	// montecarlo job, updated live while it runs; nil for other kinds.
+	// Progress is the live completion state of an orchestrated job:
+	// cells done for a sweep, montecarlo or audit, intervals done for a
+	// cosimstream. nil for the pool kinds (plan, cosim).
 	Progress *api.SweepProgress `json:"progress,omitempty"`
 	// ResumedFromSeq is the interval a cosimstream job resumed from
 	// after a restart recovered its disk checkpoint; 0 for a cold
@@ -218,8 +219,9 @@ type job struct {
 	ctx    context.Context
 	done   chan struct{}
 
-	// progress is set for sweep and montecarlo jobs, written under
-	// Engine.mu as cells finish.
+	// progress is set for the orchestrated kinds (sweep, montecarlo,
+	// audit, cosimstream), written under Engine.mu as cells or
+	// intervals finish.
 	progress *api.SweepProgress
 
 	// stream is the live interval feed of a cosimstream job; nil for
@@ -263,11 +265,11 @@ type Engine struct {
 	draining bool
 	running  int
 
-	queue    chan *job
-	workers  sync.WaitGroup
-	sweeps   sync.WaitGroup
-	baseCtx  context.Context
-	abortAll context.CancelFunc
+	queue         chan *job
+	workers       sync.WaitGroup
+	orchestrators sync.WaitGroup
+	baseCtx       context.Context
+	abortAll      context.CancelFunc
 
 	// sysCache pools assembled thermal systems across planner jobs;
 	// it has its own synchronization.
@@ -329,10 +331,10 @@ func (e *Engine) Submit(req api.Request) (JobInfo, error) {
 }
 
 // submit is Submit plus the internal flag: cell submissions from a
-// running sweep orchestrator are continuations of an already-accepted
+// running fan-out orchestrator are continuations of an already-accepted
 // job, so they pass the closed check that rejects new outside work
-// while draining (Drain keeps the queue open until every sweep has
-// fanned out and finished).
+// while draining (Drain keeps the queue open until every orchestrator
+// has fanned out and finished).
 func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 	req.Normalize()
 	if err := req.Validate(); err != nil {
@@ -398,7 +400,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 	// Predictive load shedding: once the queue is deep enough that a
 	// new job would wait out its welcome, reject at the door with a
 	// back-off hint instead of accepting work destined to be shed.
-	// Internal submissions (sweep cells) bypass this — their sweep was
+	// Internal submissions (fan-out cells) bypass this — their job was
 	// already admitted, and starving it would livelock the batch path.
 	if !internal && e.cfg.MaxQueueWait > 0 && e.estimatedWaitLocked() > e.cfg.MaxQueueWait {
 		e.metrics.add(&e.metrics.overloadRejects, 1)
@@ -413,64 +415,58 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		j.ctx, j.cancel = context.WithCancel(e.baseCtx)
 	}
 
-	// A sweep is an orchestrator, not a unit of work: it fans its
-	// cells out through Submit (so they get caching, dedup and the
-	// worker pool) and only waits. Running it on a pool worker could
-	// deadlock the pool against itself — every worker parked on a
-	// sweep, no worker left for a cell — so sweeps get their own
-	// goroutine, tracked separately for Drain.
-	if sweep, ok := req.(*api.SweepRequest); ok {
-		j.progress = &api.SweepProgress{
-			TotalCells: len(sweep.Chips) * len(sweep.Depths) * len(sweep.Coolants) * len(sweep.ThresholdsC),
+	// Sweeps, Monte-Carlo runs and audits are orchestrators, not units
+	// of work: each expands into plan cells that it fans out through the
+	// internal submit path (so cells get caching, dedup and the worker
+	// pool) and then only waits and reduces. Running one on a pool
+	// worker could deadlock the pool against itself — every worker
+	// parked on an orchestrator, none left for a cell. A streaming
+	// co-simulation is a single long-running solve that would pin a
+	// worker for the whole simulated duration. All four get their own
+	// goroutine, tracked by the orchestrators WaitGroup so Drain covers
+	// them — including a stream's checkpoint writes.
+	var body func() (any, error)
+	switch r := req.(type) {
+	case *api.SweepRequest:
+		j.progress = &api.SweepProgress{TotalCells: r.TotalCells()}
+		body = func() (any, error) {
+			cells := r.Cells()
+			res, err := e.runCells(j, cells)
+			if err != nil {
+				return nil, err
+			}
+			return reduceSweep(cells, res), nil
 		}
-		e.inflight[key] = j
-		e.sweeps.Add(1)
-		go e.runSweep(j, sweep)
-		return j.info(), nil
-	}
-
-	// A montecarlo job is the same shape of orchestrator as a sweep: it
-	// expands its Saltelli plan into plan-request cells, fans them out
-	// through the internal submit path (caching, dedup, shedding and
-	// deadlines all apply per cell) and reduces the results to
-	// statistics. It shares the sweeps WaitGroup so Drain covers it.
-	if mcr, ok := req.(*api.MonteCarloRequest); ok {
-		j.progress = &api.SweepProgress{TotalCells: mcr.TotalCells()}
-		e.inflight[key] = j
+	case *api.MonteCarloRequest:
+		j.progress = &api.SweepProgress{TotalCells: r.TotalCells()}
 		e.metrics.add(&e.metrics.mcJobs, 1)
-		e.sweeps.Add(1)
-		go e.runMonteCarlo(j, mcr)
-		return j.info(), nil
-	}
-
-	// An audit is the third orchestrator shape: its (chip, coolant,
-	// year) roadmap cells are canonical perturbed plan requests, so
-	// they dedup against each other, against sweeps and Monte-Carlo
-	// draws, and against the result cache like any other cell.
-	if ar, ok := req.(*api.AuditRequest); ok {
-		j.progress = &api.SweepProgress{TotalCells: ar.TotalCells()}
-		e.inflight[key] = j
+		body = func() (any, error) {
+			res, err := e.runCells(j, r.Cells())
+			if err != nil {
+				return nil, err
+			}
+			return e.reduceMonteCarlo(r, res), nil
+		}
+	case *api.AuditRequest:
+		j.progress = &api.SweepProgress{TotalCells: r.TotalCells()}
 		e.metrics.add(&e.metrics.auditJobs, 1)
-		e.sweeps.Add(1)
-		go e.runAudit(j, ar)
-		return j.info(), nil
-	}
-
-	// A streaming co-simulation is the fourth orchestrator shape, but
-	// unlike the fan-out kinds it is a single long-running solve: it
-	// owns a stepper for the job's whole lifetime, pushes each interval
-	// into the job's stream buffer as it lands, and checkpoints its
-	// resumable state to the disk tier so a drain or crash resumes
-	// mid-run. Parking it on a pool worker would pin that worker for
-	// the full simulated duration, so it rides the sweeps WaitGroup —
-	// which also puts its checkpoint writes inside Drain's barrier.
-	if sr, ok := req.(*api.CosimStreamRequest); ok {
-		j.progress = &api.SweepProgress{TotalCells: sr.Intervals}
+		body = func() (any, error) {
+			res, err := e.runCells(j, r.Cells())
+			if err != nil {
+				return nil, err
+			}
+			return e.reduceAudit(r, res)
+		}
+	case *api.CosimStreamRequest:
+		j.progress = &api.SweepProgress{TotalCells: r.Intervals}
 		j.stream = newStreamState()
-		e.inflight[key] = j
 		e.metrics.add(&e.metrics.streamJobs, 1)
-		e.sweeps.Add(1)
-		go e.runStream(j, sr)
+		body = func() (any, error) { return e.runStream(j, r) }
+	}
+	if body != nil {
+		e.inflight[key] = j
+		e.orchestrators.Add(1)
+		go e.orchestrate(j, body)
 		return j.info(), nil
 	}
 
@@ -567,33 +563,48 @@ func (e *Engine) rememberFinishedLocked(j *job) {
 func (e *Engine) worker() {
 	defer e.workers.Done()
 	for j := range e.queue {
-		e.run(j)
+		e.run(j, func() (any, error) {
+			// The SiteExecute failpoint fires here, on the worker
+			// goroutine inside run's recover, so an armed panic exercises
+			// exactly the recovery path a panicking solve takes.
+			if err := faultinject.Hit(j.ctx, faultinject.SiteExecute); err != nil {
+				return nil, fmt.Errorf("service: job %s: %w", j.id, err)
+			}
+			return e.execute(j.ctx, j.req)
+		})
 	}
 }
 
-func (e *Engine) run(j *job) {
+// orchestrate runs an off-pool job (sweep, montecarlo, audit,
+// cosimstream) on its own goroutine, releasing the orchestrators
+// WaitGroup that Drain waits on once the job is terminal.
+func (e *Engine) orchestrate(j *job, body func() (any, error)) {
+	defer e.orchestrators.Done()
+	e.run(j, body)
+}
+
+// run takes a job from queued to terminal: start it (unless it was
+// cancelled, expired or shed while queued), run its body with panic
+// isolation, and finalize the outcome.
+func (e *Engine) run(j *job, body func() (any, error)) {
 	if !e.start(j) {
 		return
 	}
-	result, err := e.guardedExecute(j)
+	result, err := recovered(body)
 	e.finalize(j, result, err)
 }
 
-// guardedExecute isolates the worker from a panicking solve: the
-// panic becomes this one job's failure (classified CodePanic,
-// counted as panics_recovered) instead of killing the daemon. The
-// SiteExecute failpoint fires here, on the worker goroutine, so an
-// armed panic exercises exactly this recovery path.
-func (e *Engine) guardedExecute(j *job) (result any, err error) {
+// recovered isolates the engine from a panicking job body: the panic
+// becomes this one job's failure (classified CodePanic, counted as
+// panics_recovered) instead of killing the daemon. It is the engine's
+// only recover site, shared by pool workers and orchestrators.
+func recovered(body func() (any, error)) (result any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			result, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if err := faultinject.Hit(j.ctx, faultinject.SiteExecute); err != nil {
-		return nil, fmt.Errorf("service: job %s: %w", j.id, err)
-	}
-	return e.execute(j.ctx, j.req)
+	return body()
 }
 
 // start moves a queued job to running; false means the job is
@@ -639,7 +650,7 @@ func (e *Engine) finishQueuedLocked(j *job) {
 
 // finalize records a running job's outcome and releases everything
 // waiting on it. A successful result is then spilled to the disk tier
-// outside the lock — still on the worker (or sweep orchestrator)
+// outside the lock — still on the worker (or orchestrator)
 // goroutine, so Drain's WaitGroups cover the write: once a drain
 // returns, every finished result is durable.
 func (e *Engine) finalize(j *job, result any, err error) {
@@ -704,160 +715,112 @@ func (e *Engine) failLocked(j *job, err error) {
 	}
 }
 
-// runSweep orchestrates one sweep job: fan the cells out as ordinary
-// plan submissions, wait for each, and assemble the batched response.
-func (e *Engine) runSweep(j *job, sweep *api.SweepRequest) {
-	defer e.sweeps.Done()
-	if !e.start(j) {
-		return
-	}
-	resp, err := e.guardedCollect(j, sweep)
-	e.finalize(j, resp, err)
+// cellResult is one fan-out cell as it landed: its cache key, its
+// plan, and how the engine satisfied it.
+type cellResult struct {
+	Key      string
+	Plan     *api.PlanResponse
+	CacheHit bool // answered from a cache tier without solving
+	Deduped  bool // coalesced onto an identical in-flight job
 }
 
-// guardedCollect gives the sweep orchestrator the same panic
-// isolation workers get: a panic fails the sweep, not the daemon.
-func (e *Engine) guardedCollect(j *job, sweep *api.SweepRequest) (resp *api.SweepResponse, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return e.collectSweep(j, sweep)
-}
-
-// collectSweep submits every cell up front — maximizing worker-pool
-// occupancy, cross-cell deduplication and assembly-cache sharing —
-// then gathers results in canonical cell order, updating the job's
-// progress as cells land. The first failed or canceled cell aborts
-// the sweep; cells already queued keep running (they are independent,
-// possibly shared jobs) and their results stay cached for a retry.
-func (e *Engine) collectSweep(j *job, sweep *api.SweepRequest) (*api.SweepResponse, error) {
-	cells := sweep.Cells()
-	submitted := make([]JobInfo, len(cells))
+// runCells is the fan-out executor of every orchestrator kind. It
+// submits every cell up front — maximizing worker-pool occupancy,
+// cross-cell deduplication and assembly-cache sharing — then gathers
+// the results in canonical cell order, updating the job's progress as
+// cells land. The first failed or canceled cell aborts the job; cells
+// already queued keep running (they are independent, possibly shared
+// jobs) and their results stay cached for a retry.
+func (e *Engine) runCells(j *job, cells []*api.PlanRequest) ([]cellResult, error) {
+	n := len(cells)
+	submitted := make([]JobInfo, n)
 	for i, cell := range cells {
 		in, err := e.submitCell(j.ctx, cell)
 		if err != nil {
-			return nil, fmt.Errorf("service: sweep cell %d/%d: %w", i+1, len(cells), err)
+			return nil, fmt.Errorf("service: %s cell %d/%d: %w", j.kind, i+1, n, err)
 		}
 		submitted[i] = in
 	}
-	resp := &api.SweepResponse{
-		Cells:      make([]api.SweepCell, len(cells)),
-		TotalCells: len(cells),
-	}
-	for i, cell := range cells {
-		// Cache hits from Submit are already terminal; everything else
+	out := make([]cellResult, n)
+	for i, sub := range submitted {
+		// Cache hits from submit are already terminal; everything else
 		// needs a wait. Either way Wait fetches the result payload.
-		in, err := e.Wait(j.ctx, submitted[i].ID)
+		in, err := e.Wait(j.ctx, sub.ID)
 		if err != nil {
-			return nil, fmt.Errorf("service: sweep cell %d/%d: %w", i+1, len(cells), err)
+			return nil, fmt.Errorf("service: %s cell %d/%d: %w", j.kind, i+1, n, err)
 		}
 		if in.State != StateDone {
-			return nil, fmt.Errorf("service: sweep cell %d/%d %s: %s", i+1, len(cells), in.State, in.Error)
+			return nil, fmt.Errorf("service: %s cell %d/%d %s: %s", j.kind, i+1, n, in.State, in.Error)
 		}
 		plan, ok := in.Result.(*api.PlanResponse)
 		if !ok {
-			return nil, fmt.Errorf("service: sweep cell %d/%d returned %T", i+1, len(cells), in.Result)
+			return nil, fmt.Errorf("service: %s cell %d/%d returned %T", j.kind, i+1, n, in.Result)
 		}
-		resp.Cells[i] = api.SweepCell{
-			Chip: cell.Chip, Chips: cell.Chips, Coolant: cell.Coolant,
-			ThresholdC: cell.ThresholdC, Key: in.Key, Plan: plan,
-		}
+		out[i] = cellResult{Key: in.Key, Plan: plan, CacheHit: in.CacheHit, Deduped: sub.Deduped}
 		e.mu.Lock()
 		j.progress.DoneCells++
 		if in.CacheHit {
 			j.progress.CachedCells++
-			resp.CachedCells++
 		}
 		e.mu.Unlock()
 	}
-	return resp, nil
+	return out, nil
 }
 
-// runMonteCarlo orchestrates one montecarlo job: fan the sample cells
-// out as ordinary plan submissions, wait for each, and reduce to
-// uncertainty statistics.
-func (e *Engine) runMonteCarlo(j *job, req *api.MonteCarloRequest) {
-	defer e.sweeps.Done()
-	if !e.start(j) {
-		return
-	}
-	resp, err := e.guardedCollectMC(j, req)
-	e.finalize(j, resp, err)
-}
-
-// guardedCollectMC gives the montecarlo orchestrator the same panic
-// isolation workers get: a panic fails the job, not the daemon.
-func (e *Engine) guardedCollectMC(j *job, req *api.MonteCarloRequest) (resp *api.MonteCarloResponse, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
+// tally counts the cells served from a cache tier and those coalesced
+// onto an in-flight duplicate.
+func tally(res []cellResult) (cached, deduped int) {
+	for _, c := range res {
+		if c.CacheHit {
+			cached++
 		}
-	}()
-	return e.collectMonteCarlo(j, req)
+		if c.Deduped {
+			deduped++
+		}
+	}
+	return cached, deduped
 }
 
-// collectMonteCarlo submits every sample cell up front — the cells are
-// canonical plan requests, so identical draws, earlier sweeps and the
-// result cache all collapse into dedup/cache hits — then gathers the
-// evaluated frequencies and temperatures in Saltelli row order and
-// reduces them: quantiles over the independent A∪B block, exceedance
-// probability at the eval step, and Sobol sensitivity indices from the
-// paired columns. The first failed or canceled cell aborts the job;
-// cells already queued keep running and stay cached for a retry.
-func (e *Engine) collectMonteCarlo(j *job, req *api.MonteCarloRequest) (*api.MonteCarloResponse, error) {
-	cells := req.Cells()
-	submitted := make([]JobInfo, len(cells))
-	deduped := make([]bool, len(cells))
+// reduceSweep assembles the batched sweep response from its cells.
+func reduceSweep(cells []*api.PlanRequest, res []cellResult) *api.SweepResponse {
+	resp := &api.SweepResponse{Cells: make([]api.SweepCell, len(cells)), TotalCells: len(cells)}
 	for i, cell := range cells {
-		in, err := e.submitCell(j.ctx, cell)
-		if err != nil {
-			return nil, fmt.Errorf("service: montecarlo cell %d/%d: %w", i+1, len(cells), err)
+		resp.Cells[i] = api.SweepCell{
+			Chip: cell.Chip, Chips: cell.Chips, Coolant: cell.Coolant,
+			ThresholdC: cell.ThresholdC, Key: res[i].Key, Plan: res[i].Plan,
 		}
-		submitted[i] = in
-		deduped[i] = in.Deduped
 	}
+	resp.CachedCells, _ = tally(res)
+	return resp
+}
+
+// reduceMonteCarlo reduces the sample cells, in Saltelli row order, to
+// uncertainty statistics: quantiles over the independent A∪B block,
+// exceedance probability at the eval step, and Sobol sensitivity
+// indices from the paired columns. The cells are canonical plan
+// requests, so identical draws, earlier sweeps and the result cache
+// all collapse into cache/dedup hits, counted as mc_samples_deduped.
+func (e *Engine) reduceMonteCarlo(req *api.MonteCarloRequest, res []cellResult) *api.MonteCarloResponse {
 	names := req.ParamNames()
 	resp := &api.MonteCarloResponse{
 		Samples:    req.Samples,
 		Params:     names,
-		TotalCells: len(cells),
+		TotalCells: len(res),
 		EvalGHz:    req.EvalGHz,
 		ExceedC:    req.ExceedC,
 	}
-	freq := make([]float64, len(cells))
-	peak := make([]float64, len(cells))
-	for i := range cells {
-		in, err := e.Wait(j.ctx, submitted[i].ID)
-		if err != nil {
-			return nil, fmt.Errorf("service: montecarlo cell %d/%d: %w", i+1, len(cells), err)
-		}
-		if in.State != StateDone {
-			return nil, fmt.Errorf("service: montecarlo cell %d/%d %s: %s", i+1, len(cells), in.State, in.Error)
-		}
-		plan, ok := in.Result.(*api.PlanResponse)
-		if !ok {
-			return nil, fmt.Errorf("service: montecarlo cell %d/%d returned %T", i+1, len(cells), in.Result)
-		}
+	resp.CachedCells, resp.DedupedCells = tally(res)
+	e.metrics.add(&e.metrics.mcSamplesDeduped, uint64(resp.CachedCells+resp.DedupedCells))
+	freq := make([]float64, len(res))
+	peak := make([]float64, len(res))
+	for i, c := range res {
 		// Infeasible samples contribute 0 GHz — "this draw cannot run at
 		// all" is the correct tail of the max-frequency distribution —
 		// and their eval-step temperature still lands in peak, which is
 		// exactly what the exceedance probability integrates.
-		freq[i] = plan.FrequencyGHz
-		peak[i] = plan.EvalPeakC
-		e.mu.Lock()
-		j.progress.DoneCells++
-		if in.CacheHit {
-			j.progress.CachedCells++
-			resp.CachedCells++
-		}
-		e.mu.Unlock()
-		if deduped[i] {
-			resp.DedupedCells++
-		}
+		freq[i] = c.Plan.FrequencyGHz
+		peak[i] = c.Plan.EvalPeakC
 	}
-	e.metrics.add(&e.metrics.mcSamplesDeduped, uint64(resp.CachedCells+resp.DedupedCells))
 
 	// Statistics come from the 2N independent rows (matrices A and B);
 	// the N·d pivoted rows exist only to pair with them for Sobol.
@@ -875,7 +838,7 @@ func (e *Engine) collectMonteCarlo(j *job, req *api.MonteCarloRequest) (*api.Mon
 			Param: names[k], FreqGHz: sobolFreq[k], EvalPeakC: sobolPeak[k],
 		}
 	}
-	return resp, nil
+	return resp
 }
 
 // countInfeasible counts samples whose max-frequency search found no
@@ -890,7 +853,7 @@ func countInfeasible(freq []float64) int {
 	return n
 }
 
-// submitCell submits one sweep cell, waiting out transient queue-full
+// submitCell submits one fan-out cell, waiting out transient queue-full
 // rejections: the pool is busy solving earlier cells, so backing off
 // briefly and retrying is the batched path's flow control.
 func (e *Engine) submitCell(ctx context.Context, cell *api.PlanRequest) (JobInfo, error) {
@@ -1035,10 +998,10 @@ func (e *Engine) Draining() bool {
 }
 
 // Drain stops accepting new jobs, lets queued and running jobs finish,
-// and waits for the workers and sweep orchestrators to exit. An
-// accepted sweep completes in full: its orchestrator may still fan
-// out cells through the internal submit path, so the queue stays open
-// until every sweep is done, and only then closes to wind the workers
+// and waits for the workers and orchestrators to exit. An accepted
+// fan-out job completes in full: its orchestrator may still fan out
+// cells through the internal submit path, so the queue stays open
+// until every orchestrator is done, and only then closes to wind the workers
 // down. If ctx fires first, every remaining job is aborted via its
 // context and Drain waits for the workers to observe that, returning
 // ctx's error. Drain is idempotent; concurrent calls all wait.
@@ -1050,7 +1013,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 
 	finished := make(chan struct{})
 	go func() {
-		e.sweeps.Wait()
+		e.orchestrators.Wait()
 		if first {
 			close(e.queue)
 		}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 
 	"waterimm/internal/api"
@@ -59,29 +58,6 @@ func newStreamState() *streamState {
 	return &streamState{notify: make(chan struct{})}
 }
 
-// runStream orchestrates one cosimstream job on its own goroutine
-// (tracked by the sweeps WaitGroup, so Drain waits for the park-and-
-// checkpoint handoff).
-func (e *Engine) runStream(j *job, req *api.CosimStreamRequest) {
-	defer e.sweeps.Done()
-	if !e.start(j) {
-		return
-	}
-	resp, err := e.guardedStream(j, req)
-	e.finalize(j, resp, err)
-}
-
-// guardedStream gives the stream orchestrator the same panic
-// isolation workers get: a panic fails the job, not the daemon.
-func (e *Engine) guardedStream(j *job, req *api.CosimStreamRequest) (resp *api.CosimStreamResponse, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return e.collectStream(j, req)
-}
-
 // buildStream constructs the interval engine for a validated,
 // normalized request.
 func (e *Engine) buildStream(req *api.CosimStreamRequest) (*cosim.Stream, error) {
@@ -109,14 +85,17 @@ func (e *Engine) buildStream(req *api.CosimStreamRequest) (*cosim.Stream, error)
 	return cosim.NewStream(cfg)
 }
 
-// collectStream drives the interval loop: restore a disk checkpoint if
-// one fits, then per interval — park behind a fresh checkpoint when
-// the engine drains, otherwise advance the stream, publish the sample
-// to the live feed, and checkpoint every CheckpointEvery intervals.
+// runStream is a cosimstream job's body, run by orchestrate on its own
+// goroutine (tracked by the orchestrators WaitGroup, so Drain waits
+// for the park-and-checkpoint handoff). It drives the interval loop:
+// restore a disk checkpoint if one fits, then per interval — park
+// behind a fresh checkpoint when the engine drains, otherwise advance
+// the stream, publish the sample to the live feed, and checkpoint
+// every CheckpointEvery intervals.
 // The finished response is assembled from the full sample history
 // (restored + solved), so a resumed run's payload is byte-identical to
 // an uninterrupted one and caches cleanly at every tier.
-func (e *Engine) collectStream(j *job, req *api.CosimStreamRequest) (*api.CosimStreamResponse, error) {
+func (e *Engine) runStream(j *job, req *api.CosimStreamRequest) (*api.CosimStreamResponse, error) {
 	st, err := e.buildStream(req)
 	if err != nil {
 		return nil, err

@@ -170,8 +170,11 @@ func TestSweepDrain(t *testing.T) {
 
 // TestSweepMetrics: sweeps report their own latency stage and feed
 // the assembly-cache stats (cells share geometry across thresholds).
+// The engine runs one worker: the system cache pools exclusive mutable
+// systems, so cells solving concurrently on one geometry each assemble
+// their own, and reuse is only guaranteed when cells run one at a time.
 func TestSweepMetrics(t *testing.T) {
-	e := New(Config{})
+	e := New(Config{Workers: 1})
 	defer e.Close()
 	in, err := e.Submit(&api.SweepRequest{
 		Chips:       []string{"lp"},

@@ -47,7 +47,7 @@ type Client struct {
 	RetryBackoff time.Duration
 	// RetryBackoffMax caps the backoff ceiling. Default 4 s.
 	RetryBackoffMax time.Duration
-	// PollInterval paces Wait's status polling. Default 50 ms.
+	// PollInterval paces WaitJob's status polling. Default 50 ms.
 	PollInterval time.Duration
 }
 
@@ -199,14 +199,6 @@ func (c *Client) SubmitJob(ctx context.Context, req api.Request) (*Job, error) {
 	return &j, nil
 }
 
-// Submit enqueues a request on the async job API.
-//
-// Deprecated: Submit is the pre-envelope name; it now delegates to
-// SubmitJob. New code should call SubmitJob.
-func (c *Client) Submit(ctx context.Context, req api.Request) (*Job, error) {
-	return c.SubmitJob(ctx, req)
-}
-
 // Job fetches the current snapshot of a job.
 func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
 	var j Job
@@ -218,7 +210,7 @@ func (c *Client) Job(ctx context.Context, id string) (*Job, error) {
 
 // Result fetches a job snapshot including its result payload. While
 // the job is still pending the server answers 202 and Result returns
-// the snapshot with a nil Result field — poll or use Wait.
+// the snapshot with a nil Result field — poll or use WaitJob.
 func (c *Client) Result(ctx context.Context, id string) (*Job, error) {
 	var j Job
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, &j); err != nil {
@@ -257,14 +249,6 @@ func (c *Client) WaitJob(ctx context.Context, id string) (*Job, error) {
 	}
 }
 
-// Wait polls a job to completion.
-//
-// Deprecated: Wait is the pre-envelope name; it now delegates to
-// WaitJob. New code should call WaitJob.
-func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
-	return c.WaitJob(ctx, id)
-}
-
 // Metrics fetches the engine metrics snapshot as generic JSON.
 func (c *Client) Metrics(ctx context.Context) (map[string]json.RawMessage, error) {
 	var m map[string]json.RawMessage
@@ -291,7 +275,7 @@ func (c *Client) sync(ctx context.Context, path string, req api.Request, out any
 		if err := decodeInto(body, &j); err != nil {
 			return err
 		}
-		final, err := c.Wait(ctx, j.ID)
+		final, err := c.WaitJob(ctx, j.ID)
 		if err != nil {
 			return err
 		}

@@ -187,7 +187,7 @@ func TestEnvelopeWrapping(t *testing.T) {
 		{&api.MonteCarloRequest{}, "montecarlo"},
 	} {
 		gotBody.Type, gotBody.Request = "", nil
-		if _, err := c.Submit(context.Background(), tc.req); err != nil {
+		if _, err := c.SubmitJob(context.Background(), tc.req); err != nil {
 			t.Fatal(err)
 		}
 		if gotBody.Type != tc.want || len(gotBody.Request) == 0 {
