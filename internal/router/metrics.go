@@ -113,6 +113,9 @@ func (rt *Router) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		snap map[string]any
 		err  error
 	}
+	// The scrape goroutines must not touch w: read the request ID once
+	// here instead of from every goroutine.
+	reqID := w.Header().Get(httpapi.RequestIDHeader)
 	results := make([]scrape, len(rt.backends))
 	var wg sync.WaitGroup
 	for i, b := range rt.backends {
@@ -120,7 +123,7 @@ func (rt *Router) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		go func(i int, b *Backend) {
 			defer wg.Done()
 			results[i].id = b.ID
-			resp, err := rt.forward(ctx, b, http.MethodGet, "/v1/metrics", nil, w.Header().Get(httpapi.RequestIDHeader))
+			resp, err := rt.forward(ctx, b, http.MethodGet, "/v1/metrics", nil, reqID)
 			if err != nil {
 				results[i].err = err
 				return

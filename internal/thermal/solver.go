@@ -190,9 +190,29 @@ func (s *System) ColdStartResidual() float64 {
 // unfused form needs — the iteration is memory-bound, so fewer sweeps
 // are a direct wall-clock win.
 func (s *System) SolveSteady(opt SolveOptions) ([]float64, error) {
+	return s.solveCG(opt, newCGWork(s.N))
+}
+
+// cgWork holds the five CG vectors. SolveSteady allocates a fresh one
+// per call because it hands x to the caller; the transient stepper
+// keeps one for its lifetime and copies x out after every step.
+type cgWork struct {
+	x, r, z, p, ap []float64
+}
+
+func newCGWork(n int) *cgWork {
+	return &cgWork{
+		x: make([]float64, n), r: make([]float64, n), z: make([]float64, n),
+		p: make([]float64, n), ap: make([]float64, n),
+	}
+}
+
+// solveCG is SolveSteady over a caller-owned workspace; the returned
+// field is ws.x.
+func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 	opt = opt.withDefaults(s.N)
 	n := s.N
-	x := make([]float64, n)
+	x, r, z, p, ap := ws.x, ws.r, ws.z, ws.p, ws.ap
 	if opt.Guess != nil && len(opt.Guess) == n {
 		copy(x, opt.Guess)
 	} else {
@@ -201,16 +221,14 @@ func (s *System) SolveSteady(opt SolveOptions) ([]float64, error) {
 			x[i] = s.model.AmbientC
 		}
 	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	ap := make([]float64, n)
 
-	// invDiag is normally built by Assemble; hand-built systems (the
-	// transient stepper's shifted copy builds its own) fall back to a
-	// lazy construction with the same validation.
+	// invDiag is normally built by Assemble; hand-built systems fall
+	// back to a lazy construction with the same validation. The
+	// transient stepper's shifted copy has none: it is solved with its
+	// incomplete Cholesky factor, and only builds invDiag here if it is
+	// ever solved on the Jacobi path.
 	invDiag := s.invDiag
-	if invDiag == nil {
+	if invDiag == nil && opt.Precond == nil {
 		var err error
 		if invDiag, err = invertDiag(s.Diag); err != nil {
 			return nil, err

@@ -14,12 +14,25 @@ import (
 // by orders of magnitude.
 //
 // The paper's evaluation is worst-case steady state; the stepper
-// backs the DTM extension (see package dtm) and the transient tests.
+// backs the DTM extension: the interval loops of cosim.Stream and
+// cosim.RunCtx (and package dtm) advance the field through it.
+//
+// The shifted operator G + C/Δt is time-invariant, so NewStepper
+// factors it once with zero-fill incomplete Cholesky (IC(0)) and every
+// step's CG uses that factor as its preconditioner instead of the
+// Jacobi default, which cuts the iterations per step about fivefold
+// on the 32×32 stacks the co-simulation runs. The factor depends only
+// on the matrix, so a checkpoint restored into a fresh Stepper resumes
+// bit-identically without carrying it.
 type Stepper struct {
 	sys *System
 	dt  float64
 	// shifted holds the CSR values with C/Δt added on the diagonal.
 	shifted *System
+	// prec is the IC(0) factor of shifted; nil selects Jacobi.
+	prec Preconditioner
+	// ws is the CG workspace reused across steps.
+	ws *cgWork
 	// T is the current temperature field; callers may read it
 	// between steps but must not resize it.
 	T    []float64
@@ -45,6 +58,12 @@ func NewStepper(sys *System, dt float64) (*Stepper, error) {
 		st.T[i] = sys.model.AmbientC
 	}
 	st.shifted = st.buildShifted()
+	ic, err := newIChol(st.shifted)
+	if err != nil {
+		return nil, err
+	}
+	st.prec = ic
+	st.ws = newCGWork(sys.N)
 	return st, nil
 }
 
@@ -66,9 +85,6 @@ func (st *Stepper) buildShifted() *System {
 		dst.Val[src.RowPtr[r]] += shift
 		dst.Diag[r] += shift
 	}
-	// C/Δt ≥ 0 on top of a valid steady diagonal keeps it positive, so
-	// this cannot fail when the source system assembled cleanly.
-	dst.invDiag, _ = invertDiag(dst.Diag)
 	return dst
 }
 
@@ -94,9 +110,9 @@ func (st *Stepper) Step(ctx context.Context) error {
 	for i := range st.shifted.Q {
 		st.shifted.Q[i] = st.sys.Q[i] + st.sys.Capacity[i]/st.dt*st.T[i]
 	}
-	t, err := st.shifted.SolveSteady(SolveOptions{
-		Ctx: ctx, Guess: st.T, Tol: 1e-6, TolRef: st.sys.ColdStartResidual(),
-	})
+	t, err := st.shifted.solveCG(SolveOptions{
+		Ctx: ctx, Guess: st.T, Tol: 1e-6, TolRef: st.sys.ColdStartResidual(), Precond: st.prec,
+	}, st.ws)
 	if err != nil {
 		return fmt.Errorf("thermal: transient step at t=%.4gs: %w", st.time, err)
 	}

@@ -232,3 +232,100 @@ func TestStepperRestoreRejectsBadCheckpoint(t *testing.T) {
 		t.Error("expected error for NaN temperature")
 	}
 }
+
+// TestStepperICholMatchesJacobi pins the IC(0)-preconditioned stepper
+// to the Jacobi one over a run with lumped extras and a mid-run power
+// cut: the preconditioner changes the iteration, never the trajectory
+// beyond what the solver tolerance allows.
+//
+// The bound follows from the stop rule ‖r‖ ≤ Tol·TolRef. With A = G +
+// D and D = C/Δt, the error of step n obeys eₙ = A⁻¹·D·eₙ₋₁ + A⁻¹·rₙ.
+// A ⪰ D, so A⁻¹·D does not grow errors in the D-norm and ‖A⁻¹·r‖_D ≤
+// ‖r‖/√dmin; after n steps ‖e‖∞ ≤ ‖e‖_D/√dmin ≤ n·Tol·TolRef/dmin.
+// Two trajectories each within that of the exact one differ by at
+// most twice it.
+func TestStepperICholMatchesJacobi(t *testing.T) {
+	const dt, steps, tol = 0.01, 60, 1e-6
+	ctx := context.Background()
+	run := func(jacobi bool) (field []float64, bound float64) {
+		m := mgStack(16, 16, true)
+		sys, err := Assemble(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewStepper(sys, dt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jacobi {
+			st.prec = nil
+		}
+		dmin := math.Inf(1)
+		for _, c := range sys.Capacity {
+			dmin = math.Min(dmin, c/dt)
+		}
+		var maxRef float64
+		for i := 0; i < steps; i++ {
+			if i == steps/2 {
+				for c := range m.Layers[0].Power {
+					m.Layers[0].Power[c] *= 0.25
+				}
+				if err := sys.UpdatePower(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			maxRef = math.Max(maxRef, sys.ColdStartResidual())
+			if err := st.Step(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st.T, 2 * steps * tol * maxRef / dmin
+	}
+	ic, bound := run(false)
+	jac, _ := run(true)
+	var maxDiff, maxRise float64
+	for i := range ic {
+		maxDiff = math.Max(maxDiff, math.Abs(ic[i]-jac[i]))
+		maxRise = math.Max(maxRise, jac[i]-25)
+	}
+	t.Logf("max |T_ic − T_jacobi| = %.3g °C, bound %.3g °C, peak rise %.3g °C", maxDiff, bound, maxRise)
+	if maxDiff > bound {
+		t.Errorf("trajectories differ by %.3g °C, bound %.3g °C", maxDiff, bound)
+	}
+	if maxRise < 100*bound {
+		t.Errorf("peak rise %.3g °C is too small for the bound %.3g °C to mean anything", maxRise, bound)
+	}
+}
+
+// TestTransientLumpedRCClosedForm pins a single-node RC model to the
+// exact backward-Euler recurrence T₊ = (C/Δt·T + P + G·Tₐ)/(C/Δt + G).
+// Grid.Validate rejects a 1×1 grid, so the node is a lumped extra
+// beside an unpowered, uncoupled 2×2 slab that stays at ambient; the
+// extra's row of the shifted operator is a 1×1 block, which IC(0)
+// factors exactly.
+func TestTransientLumpedRCClosedForm(t *testing.T) {
+	const g, c, p, amb, dt = 0.8, 50.0, 12.0, 25.0, 2.0
+	m := slab(2, 2, 0, 300)
+	m.Extras = []Extra{{Name: "lump", AmbientG: g, Cap: c, Power: p}}
+	sys, err := Assemble(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStepper(sys, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := amb
+	for i := 0; i < 100; i++ {
+		if err := st.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		want = (c/dt*want + p + g*amb) / (c/dt + g)
+		if got := st.Result().Extra(0); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("step %d: %.12f °C, closed form %.12f °C", i, got, want)
+		}
+	}
+	if want-amb < 0.5*p/g {
+		t.Errorf("run ended at %.3f °C, short of half the %.3f °C steady rise", want, p/g)
+	}
+}
