@@ -25,12 +25,12 @@ type CosimStreamRequest struct {
 	// chip. Default 3.6.
 	GHz float64 `json:"ghz"`
 	// IntervalS is the coupling period in simulated seconds.
-	// Default 0.01 (the dtm control period).
+	// Default 0.01 (a 10 ms governor control period).
 	IntervalS float64 `json:"interval_s"`
 	// Intervals is the run length in coupling periods. Default 512.
 	Intervals int `json:"intervals"`
 	// SubSteps integrates the thermal model this many backward-Euler
-	// steps per interval. Default 2 (the dtm default).
+	// steps per interval. Default 2.
 	SubSteps int `json:"sub_steps"`
 	// Trace is the utilisation trace, cycled over the run; empty
 	// means a steady full load.

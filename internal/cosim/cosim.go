@@ -24,6 +24,7 @@ package cosim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"waterimm/internal/coherence"
 	"waterimm/internal/cpu"
@@ -41,6 +42,22 @@ import (
 type DVFSPolicy struct {
 	SetpointC   float64
 	HysteresisC float64
+}
+
+// next is the hysteresis governor: given the VFS index of an interval
+// that peaked at peakC, it returns the index for the next interval. It
+// steps down once the peak enters the band below the setpoint and back
+// up only once the peak falls well clear of it; a nil policy holds the
+// index.
+func (p *DVFSPolicy) next(idx, steps int, peakC float64) int {
+	switch {
+	case p == nil:
+	case peakC > p.SetpointC-p.HysteresisC && idx > 0:
+		return idx - 1
+	case peakC < p.SetpointC-3*p.HysteresisC && idx < steps-1:
+		return idx + 1
+	}
+	return idx
 }
 
 // Config describes a co-simulation run.
@@ -63,7 +80,8 @@ type Config struct {
 	// DurationS, when positive, loops the workload (each thread
 	// restarts its stream on completion, keeping the per-iteration
 	// barrier cadence identical across threads) and runs the
-	// co-simulation for this much simulated time. Scaled NPB classes
+	// co-simulation for this much simulated time, rounded up to whole
+	// coupling intervals. Scaled NPB classes
 	// finish in microseconds while package thermal constants are
 	// milliseconds to seconds; looping is how the trace reaches
 	// thermally interesting territory. Zero runs one pass.
@@ -136,13 +154,11 @@ func Run(cfg Config) (*Result, error) {
 // thermal solves, and between coupling intervals, so a cancelled
 // request abandons the co-simulation mid-run. The returned error
 // wraps ctx.Err().
+//
+// The run is a Stream whose power comes from the event kernel rather
+// than a utilisation trace, so it shares the trace runs' interval loop
+// and governor.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Chips < 1 {
-		return nil, fmt.Errorf("cosim: need at least one chip")
-	}
-	if cfg.IntervalS <= 0 {
-		return nil, fmt.Errorf("cosim: non-positive coupling interval")
-	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
@@ -152,18 +168,91 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Benchmark.Validate(); err != nil {
 		return nil, err
 	}
-	steps := cfg.Chip.Steps()
-	stepIdx := -1
-	for i, s := range steps {
-		if s.FHz == cfg.FHz {
-			stepIdx = i
+	intervals := cfg.MaxIntervals
+	if cfg.DurationS > 0 {
+		// Whole intervals covering DurationS: the ratio rounded to
+		// nearest within 1e-9 of an integer (3e-3/1e-4 is
+		// 29.999999999999996 in binary), its ceiling otherwise.
+		r := cfg.DurationS / cfg.IntervalS
+		n := math.Round(r)
+		if math.Abs(r-n) > 1e-9 {
+			n = math.Ceil(r)
+		}
+		intervals = int(math.Max(1, math.Min(n, float64(cfg.MaxIntervals))))
+	}
+	st, err := newStream(StreamConfig{
+		Chip: cfg.Chip, Chips: cfg.Chips, Coolant: cfg.Coolant, Params: cfg.Params,
+		FHz: cfg.FHz, IntervalS: cfg.IntervalS, Intervals: intervals, DVFS: cfg.DVFS,
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	src, err := newKernelSource(cfg)
+	if err != nil {
+		return nil, err
+	}
+	st.src = src
+
+	// Static-methodology reference point.
+	steadyRes, err := thermal.Solve(st.model, thermal.SolveOptions{Ctx: ctx})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{SteadyPlannerPeakC: steadyRes.Max()}
+	for !st.Done() {
+		smp, err := st.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		res.Samples = append(res.Samples, Sample{
+			TimeS: smp.TimeS, FHz: smp.FHz, PeakC: smp.PeakC,
+			DynamicW: smp.DynamicW, StaticW: smp.StaticW, IPS: src.ips,
+		})
+		if cfg.DurationS <= 0 && allDone(src.cores) {
+			break
 		}
 	}
-	if stepIdx < 0 {
-		return nil, fmt.Errorf("cosim: %.2f GHz is not a VFS step of %s", cfg.FHz/1e9, cfg.Chip.Name)
+	res.MaxPeakC, res.Throttles, res.MeanGHz = st.MaxPeakC(), st.Throttles(), st.MeanGHz()
+	if cfg.DurationS > 0 {
+		res.Seconds = st.stepper.Time()
+		for _, ls := range src.loops {
+			res.Iterations += ls.Iterations
+		}
+		return res, nil
 	}
+	if !allDone(src.cores) {
+		return nil, fmt.Errorf("cosim: workload did not finish within %d intervals", cfg.MaxIntervals)
+	}
+	var finish sim.Time
+	for _, c := range src.cores {
+		if c.Stats.FinishedAt > finish {
+			finish = c.Stats.FinishedAt
+		}
+	}
+	res.Seconds = finish.Seconds()
+	return res, nil
+}
 
-	// Performance side.
+// kernelSource is the event-kernel power source: each interval runs
+// the workload to the interval's end with the core clock at the
+// operating point, and the interval's architectural activity becomes
+// dynamic power, distributed over the floorplan with the chip's
+// component shares as the spatial prior.
+type kernelSource struct {
+	cfg      Config
+	k        *sim.Kernel
+	sys      *coherence.System
+	clock    *cpu.Clock
+	cores    []*cpu.Core
+	loops    []*loopStream
+	interval sim.Time
+	deadline sim.Time
+	prev     mcpat.Activity
+	// ips is the last interval's aggregate instruction rate.
+	ips float64
+}
+
+func newKernelSource(cfg Config) (*kernelSource, error) {
 	k := sim.NewKernel()
 	sys, err := coherence.New(k, coherence.DefaultConfig(cfg.Chips, cfg.FHz))
 	if err != nil {
@@ -172,139 +261,56 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	threads := sys.Cfg.Cores()
 	clock := cpu.NewClock(cfg.FHz)
 	barrier := cpu.NewBarrierGroup(k, threads, sim.Time(120)*clock.Cycle())
-	cores := make([]*cpu.Core, threads)
-	loops := make([]*loopStream, threads)
+	src := &kernelSource{
+		cfg: cfg, k: k, sys: sys, clock: clock,
+		cores:    make([]*cpu.Core, threads),
+		interval: sim.Time(cfg.IntervalS * float64(sim.Second)),
+	}
 	for t := 0; t < threads; t++ {
 		var stream cpu.Stream
 		if cfg.DurationS > 0 {
-			t := t
 			ls := &loopStream{mk: func(iter int) cpu.Stream {
 				return cfg.Benchmark.Stream(t, threads, cfg.Seed+int64(iter), cfg.Scale)
 			}}
 			ls.cur = ls.mk(0)
-			loops[t] = ls
+			src.loops = append(src.loops, ls)
 			stream = ls
 		} else {
 			stream = cfg.Benchmark.Stream(t, threads, cfg.Seed, cfg.Scale)
 		}
-		cores[t] = cpu.NewCore(t, k, sys.L1s[t], clock, stream, barrier)
-		cores[t].Start()
+		src.cores[t] = cpu.NewCore(t, k, sys.L1s[t], clock, stream, barrier)
+		src.cores[t].Start()
 	}
+	src.prev = activitySnapshot(sys, src.cores)
+	return src, nil
+}
 
-	// Thermal side: one shared floorplan drives every die layer.
-	fp, err := mcpat.ChipAt(cfg.Chip, steps[stepIdx], cfg.Params.AmbientC)
-	if err != nil {
-		return nil, err
+// apply runs the interval and spreads the measured per-chip power
+// (its dynamic share from the interval's activity, leakage at the last
+// peak) over the floorplan's ambient-temperature unit powers.
+func (s *kernelSource) apply(ctx context.Context, fp *floorplan.Floorplan, _ int, step power.Step, lastPeakC float64) (float64, float64, error) {
+	s.clock.SetFrequency(step.FHz)
+	s.deadline += s.interval
+	if _, err := s.k.RunForCtx(ctx, s.deadline); err != nil {
+		return 0, 0, fmt.Errorf("cosim: %w", err)
 	}
-	dies := make([]*floorplan.Floorplan, cfg.Chips)
-	for i := range dies {
-		dies[i] = fp
-	}
-	model, err := stack.Build(stack.Config{Params: cfg.Params, Coolant: cfg.Coolant, Dies: dies})
-	if err != nil {
-		return nil, err
-	}
-	thermalSys, err := thermal.Assemble(model)
-	if err != nil {
-		return nil, err
-	}
-	stepper, err := thermal.NewStepper(thermalSys, cfg.IntervalS)
-	if err != nil {
-		return nil, err
-	}
+	cur := activitySnapshot(s.sys, s.cores)
+	delta := diffActivity(cur, s.prev)
+	delta.Cycles = uint64(float64(s.interval) / float64(s.clock.Cycle()))
+	s.prev = cur
+	s.ips = float64(delta.Instructions) / s.cfg.IntervalS
 
-	// Static-methodology reference point.
-	steadyRes, err := thermal.Solve(model, thermal.SolveOptions{Ctx: ctx})
-	if err != nil {
-		return nil, err
+	chips := float64(s.cfg.Chips)
+	dyn := mcpat.DynamicPower(s.cfg.Chip, step, delta)
+	static := s.cfg.Chip.StaticAt(step, lastPeakC) * chips
+	perChip := dyn/chips + static/chips
+	if err := mcpat.Assign(fp, s.cfg.Chip, step, s.cfg.Params.AmbientC); err != nil {
+		return 0, 0, err
 	}
-	res := &Result{SteadyPlannerPeakC: steadyRes.Max()}
-
-	prev := activitySnapshot(sys, cores)
-	interval := sim.Time(cfg.IntervalS * float64(sim.Second))
-	var deadline sim.Time
-	var ghzSum float64
-	lastPeak := cfg.Params.AmbientC
-	for iter := 0; iter < cfg.MaxIntervals; iter++ {
-		deadline += interval
-		if _, err := k.RunForCtx(ctx, deadline); err != nil {
-			return nil, fmt.Errorf("cosim: %w", err)
-		}
-
-		// Interval activity → power.
-		cur := activitySnapshot(sys, cores)
-		step := steps[stepIdx]
-		delta := diffActivity(cur, prev)
-		delta.Cycles = uint64(float64(interval) / float64(clock.Cycle()))
-		prev = cur
-		dyn := mcpat.DynamicPower(cfg.Chip, step, delta)
-		static := cfg.Chip.StaticAt(step, lastPeak) * float64(cfg.Chips)
-		perChip := dyn/float64(cfg.Chips) + static/float64(cfg.Chips)
-		if err := applyChipPower(model, fp, cfg, step, perChip); err != nil {
-			return nil, err
-		}
-		if err := thermalSys.UpdatePower(); err != nil {
-			return nil, err
-		}
-		peak, err := stepper.Run(ctx, 1)
-		if err != nil {
-			return nil, err
-		}
-		lastPeak = peak
-
-		sample := Sample{
-			TimeS: stepper.Time(), FHz: step.FHz, PeakC: peak,
-			DynamicW: dyn, StaticW: static,
-			IPS: float64(delta.Instructions) / cfg.IntervalS,
-		}
-		res.Samples = append(res.Samples, sample)
-		ghzSum += step.GHz()
-		if peak > res.MaxPeakC {
-			res.MaxPeakC = peak
-		}
-
-		// Governor.
-		if cfg.DVFS != nil {
-			switch {
-			case peak > cfg.DVFS.SetpointC-cfg.DVFS.HysteresisC && stepIdx > 0:
-				stepIdx--
-				clock.SetFrequency(steps[stepIdx].FHz)
-				res.Throttles++
-			case peak < cfg.DVFS.SetpointC-3*cfg.DVFS.HysteresisC && stepIdx < len(steps)-1:
-				stepIdx++
-				clock.SetFrequency(steps[stepIdx].FHz)
-			}
-		}
-
-		if cfg.DurationS > 0 {
-			if stepper.Time() >= cfg.DurationS {
-				break
-			}
-		} else if allDone(cores) {
-			break
-		}
+	if total := fp.TotalPower(); total > 0 {
+		fp.ScalePower(perChip / total)
 	}
-	if cfg.DurationS > 0 {
-		res.Seconds = stepper.Time()
-		for _, ls := range loops {
-			res.Iterations += ls.Iterations
-		}
-	} else {
-		if !allDone(cores) {
-			return nil, fmt.Errorf("cosim: workload did not finish within %d intervals", cfg.MaxIntervals)
-		}
-		var finish sim.Time
-		for _, c := range cores {
-			if c.Stats.FinishedAt > finish {
-				finish = c.Stats.FinishedAt
-			}
-		}
-		res.Seconds = finish.Seconds()
-	}
-	if n := len(res.Samples); n > 0 {
-		res.MeanGHz = ghzSum / float64(n)
-	}
-	return res, nil
+	return dyn, 1, nil
 }
 
 func allDone(cores []*cpu.Core) bool {
@@ -343,22 +349,4 @@ func diffActivity(cur, prev mcpat.Activity) mcpat.Activity {
 		DRAMAccesses: cur.DRAMAccesses - prev.DRAMAccesses,
 		NoCFlitHops:  cur.NoCFlitHops - prev.NoCFlitHops,
 	}
-}
-
-// applyChipPower distributes the measured per-chip power over the
-// floorplan (using the chip's component shares as the spatial prior)
-// and rewrites every die layer's map.
-func applyChipPower(model *thermal.Model, fp *floorplan.Floorplan, cfg Config, step power.Step, perChipW float64) error {
-	if err := mcpat.Assign(fp, cfg.Chip, step, cfg.Params.AmbientC); err != nil {
-		return err
-	}
-	if total := fp.TotalPower(); total > 0 {
-		fp.ScalePower(perChipW / total)
-	}
-	grid := model.Grid
-	m := fp.PowerMap(grid.NX, grid.NY, grid.W, grid.H)
-	for die := 0; die < cfg.Chips; die++ {
-		copy(model.Layers[stack.DieLayer(die)].Power, m)
-	}
-	return nil
 }

@@ -1,6 +1,9 @@
 package cosim
 
 import (
+	"context"
+	"errors"
+	"math"
 	"testing"
 
 	"waterimm/internal/material"
@@ -194,5 +197,73 @@ func TestDVFSThrottleBounded(t *testing.T) {
 			t.Errorf("throttled at %.2f C, far below the trigger band", prev.PeakC)
 		}
 		prev = s
+	}
+}
+
+func TestRunCtxLoopedDurationIntervals(t *testing.T) {
+	// 30 steps of 100 µs sum to 0.0029999999999999996 s, so a stop
+	// rule on accumulated time used to run a 31st interval and report
+	// 3.1 ms. The interval count is fixed up front instead: exact
+	// multiples round to nearest, anything else rounds up.
+	for _, tc := range []struct {
+		durationS float64
+		want      int
+	}{
+		{3e-3, 30},
+		{2.95e-3, 30},
+		{3.01e-3, 31},
+	} {
+		cfg := baseConfig(t, "ep")
+		cfg.DurationS = tc.durationS
+		res, err := RunCtx(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Samples) != tc.want {
+			t.Errorf("%g s at %g s intervals: %d samples, want %d", tc.durationS, cfg.IntervalS, len(res.Samples), tc.want)
+		}
+		wantS := float64(tc.want) * cfg.IntervalS
+		if math.Abs(res.Seconds-wantS) > 1e-12 {
+			t.Errorf("%g s: Seconds %v, want %v", tc.durationS, res.Seconds, wantS)
+		}
+	}
+}
+
+func TestGovernorHysteresisRule(t *testing.T) {
+	// One step down once the peak is inside the band below the
+	// setpoint, one step up only once it is three bands clear, never
+	// past either end of the VFS table; a nil policy never moves.
+	p := &DVFSPolicy{SetpointC: 80, HysteresisC: 2}
+	for _, tc := range []struct {
+		idx  int
+		peak float64
+		want int
+	}{
+		{5, 78.1, 4},
+		{5, 78, 5},
+		{5, 74, 5},
+		{5, 73.9, 6},
+		{0, 95, 0},
+		{12, 30, 12},
+	} {
+		if got := p.next(tc.idx, 13, tc.peak); got != tc.want {
+			t.Errorf("index %d at %.1f C: next %d, want %d", tc.idx, tc.peak, got, tc.want)
+		}
+	}
+	var off *DVFSPolicy
+	if got := off.next(5, 13, 95); got != 5 {
+		t.Errorf("nil policy moved the index to %d", got)
+	}
+}
+
+func TestRunCtxHonoursCancellation(t *testing.T) {
+	// The kernel-sourced run shares the stream's interval loop, so a
+	// cancelled context must stop it before the first interval.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunCtx(ctx, looped(t, "ep")); err == nil {
+		t.Fatal("expected error from cancelled context")
+	} else if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error does not wrap context.Canceled: %v", err)
 	}
 }

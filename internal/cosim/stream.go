@@ -79,17 +79,20 @@ type Checkpoint struct {
 	Samples   []StreamSample `json:"samples"`
 }
 
-// Stream is a resumable interval engine. It is not safe for concurrent
-// use; the owning goroutine drives Next and publishes samples itself.
+// Stream is the interval engine: every coupling interval takes its
+// power from a powerSource, advances the transient stack model, and
+// lets the governor pick the next operating point. It is not safe for
+// concurrent use; the owning goroutine drives Next and publishes
+// samples itself.
 type Stream struct {
 	cfg     StreamConfig
+	src     powerSource
 	steps   []power.Step
 	stepIdx int
 	fp      *floorplan.Floorplan
 	model   *thermal.Model
 	sys     *thermal.System
 	stepper *thermal.Stepper
-	cycleS  float64
 
 	seq       int
 	throttles int
@@ -99,10 +102,78 @@ type Stream struct {
 	samples   []StreamSample
 }
 
-// NewStream validates the config and builds the stack model at the
-// initial operating point. Only the power maps change between
-// intervals; the matrix structure is assembled once.
+// powerSource supplies each interval's power. It writes one chip's
+// unit powers into fp for the interval with the given 0-based index at
+// the given operating point, leakage evaluated at lastPeakC, and
+// returns the whole stack's dynamic power and the interval's
+// utilisation.
+type powerSource interface {
+	apply(ctx context.Context, fp *floorplan.Floorplan, idx int, step power.Step, lastPeakC float64) (dynW, util float64, err error)
+}
+
+// traceSource is the utilisation trace: full VFS power at the last
+// peak's leakage, with the dynamic share duty-cycled by the phase's
+// utilisation.
+type traceSource struct {
+	cfg    StreamConfig
+	cycleS float64
+}
+
+func (t *traceSource) apply(_ context.Context, fp *floorplan.Floorplan, idx int, step power.Step, lastPeakC float64) (float64, float64, error) {
+	util := t.utilisationAt(idx)
+	if err := mcpat.Assign(fp, t.cfg.Chip, step, lastPeakC); err != nil {
+		return 0, 0, err
+	}
+	if util < 1 {
+		total := fp.TotalPower()
+		want := step.DynamicW*util + t.cfg.Chip.StaticAt(step, lastPeakC)
+		if total > 0 {
+			fp.ScalePower(want / total)
+		}
+	}
+	return step.DynamicW * util * float64(t.cfg.Chips), util, nil
+}
+
+// utilisationAt returns the trace utilisation for the interval with
+// the given 0-based index, evaluated at the interval's start time. The
+// phase comparisons carry a tolerance of 1e-9 intervals so that an
+// interval starting on a phase boundary lands in the phase it opens,
+// whichever side of the boundary idx·IntervalS rounds to in binary.
+func (t *traceSource) utilisationAt(idx int) float64 {
+	if t.cycleS == 0 {
+		return 1
+	}
+	eps := 1e-9 * t.cfg.IntervalS
+	at := float64(idx) * t.cfg.IntervalS
+	at -= t.cycleS * math.Floor((at+eps)/t.cycleS)
+	for _, p := range t.cfg.Phases {
+		if at+eps < p.DurationS {
+			return p.Utilisation
+		}
+		at -= p.DurationS
+	}
+	return t.cfg.Phases[len(t.cfg.Phases)-1].Utilisation
+}
+
+// NewStream validates a trace-driven config and builds the stack model
+// at the initial operating point.
 func NewStream(cfg StreamConfig) (*Stream, error) {
+	var cycle float64
+	for i, p := range cfg.Phases {
+		if p.DurationS <= 0 || math.IsNaN(p.DurationS) || math.IsInf(p.DurationS, 0) {
+			return nil, fmt.Errorf("cosim: phase %d has non-positive duration", i)
+		}
+		if p.Utilisation < 0 || p.Utilisation > 1 || math.IsNaN(p.Utilisation) {
+			return nil, fmt.Errorf("cosim: phase %d utilisation %g outside [0,1]", i, p.Utilisation)
+		}
+		cycle += p.DurationS
+	}
+	return newStream(cfg, &traceSource{cfg: cfg, cycleS: cycle})
+}
+
+// newStream builds a stream over any power source. Only the power maps
+// change between intervals; the matrix structure is assembled once.
+func newStream(cfg StreamConfig, src powerSource) (*Stream, error) {
 	if cfg.Chips < 1 {
 		return nil, fmt.Errorf("cosim: need at least one chip")
 	}
@@ -114,16 +185,6 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 	}
 	if cfg.SubSteps < 1 {
 		cfg.SubSteps = 1
-	}
-	var cycle float64
-	for i, p := range cfg.Phases {
-		if p.DurationS <= 0 || math.IsNaN(p.DurationS) || math.IsInf(p.DurationS, 0) {
-			return nil, fmt.Errorf("cosim: phase %d has non-positive duration", i)
-		}
-		if p.Utilisation < 0 || p.Utilisation > 1 || math.IsNaN(p.Utilisation) {
-			return nil, fmt.Errorf("cosim: phase %d utilisation %g outside [0,1]", i, p.Utilisation)
-		}
-		cycle += p.DurationS
 	}
 	steps := cfg.Chip.Steps()
 	stepIdx := -1
@@ -157,26 +218,10 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		return nil, err
 	}
 	return &Stream{
-		cfg: cfg, steps: steps, stepIdx: stepIdx,
+		cfg: cfg, src: src, steps: steps, stepIdx: stepIdx,
 		fp: fp, model: model, sys: sys, stepper: stepper,
-		cycleS: cycle, lastPeak: cfg.Params.AmbientC,
+		lastPeak: cfg.Params.AmbientC,
 	}, nil
-}
-
-// utilisationAt returns the trace utilisation for the interval with
-// the given 0-based index, evaluated at the interval's start time.
-func (s *Stream) utilisationAt(idx int) float64 {
-	if s.cycleS == 0 {
-		return 1
-	}
-	t := math.Mod(float64(idx)*s.cfg.IntervalS, s.cycleS)
-	for _, p := range s.cfg.Phases {
-		if t < p.DurationS {
-			return p.Utilisation
-		}
-		t -= p.DurationS
-	}
-	return s.cfg.Phases[len(s.cfg.Phases)-1].Utilisation
 }
 
 // Done reports whether the configured interval count has been reached.
@@ -204,19 +249,25 @@ func (s *Stream) MeanGHz() float64 {
 	return s.ghzSum / float64(s.seq)
 }
 
-// Next advances one coupling interval: apply the trace's power at the
-// current operating point (leakage evaluated at the last peak),
-// integrate the stack SubSteps backward-Euler steps, then let the
-// governor move the operating point for the next interval. Ctx is
-// threaded into the thermal solves.
+// Next advances one coupling interval: take the source's power at the
+// current operating point (leakage evaluated at the last peak) onto
+// every die layer, integrate the stack SubSteps backward-Euler steps,
+// then let the governor move the operating point for the next
+// interval. Ctx is threaded into the power source and the thermal
+// solves.
 func (s *Stream) Next(ctx context.Context) (StreamSample, error) {
 	if s.Done() {
 		return StreamSample{}, fmt.Errorf("cosim: stream exhausted after %d intervals", s.seq)
 	}
 	step := s.steps[s.stepIdx]
-	util := s.utilisationAt(s.seq)
-	if err := s.applyPower(step, util); err != nil {
+	dyn, util, err := s.src.apply(ctx, s.fp, s.seq, step, s.lastPeak)
+	if err != nil {
 		return StreamSample{}, err
+	}
+	grid := s.model.Grid
+	m := s.fp.PowerMap(grid.NX, grid.NY, grid.W, grid.H)
+	for die := 0; die < s.cfg.Chips; die++ {
+		copy(s.model.Layers[stack.DieLayer(die)].Power, m)
 	}
 	if err := s.sys.UpdatePower(); err != nil {
 		return StreamSample{}, err
@@ -231,7 +282,7 @@ func (s *Stream) Next(ctx context.Context) (StreamSample, error) {
 		TimeS:       s.stepper.Time(),
 		FHz:         step.FHz,
 		PeakC:       peak,
-		DynamicW:    step.DynamicW * util * float64(s.cfg.Chips),
+		DynamicW:    dyn,
 		StaticW:     s.cfg.Chip.StaticAt(step, s.lastPeak) * float64(s.cfg.Chips),
 		Utilisation: util,
 	}
@@ -240,40 +291,14 @@ func (s *Stream) Next(ctx context.Context) (StreamSample, error) {
 	if peak > s.maxPeak {
 		s.maxPeak = peak
 	}
-	if s.cfg.DVFS != nil {
-		switch {
-		case peak > s.cfg.DVFS.SetpointC-s.cfg.DVFS.HysteresisC && s.stepIdx > 0:
-			s.stepIdx--
-			s.throttles++
-			sample.Throttled = true
-		case peak < s.cfg.DVFS.SetpointC-3*s.cfg.DVFS.HysteresisC && s.stepIdx < len(s.steps)-1:
-			s.stepIdx++
-		}
+	next := s.cfg.DVFS.next(s.stepIdx, len(s.steps), peak)
+	if next < s.stepIdx {
+		s.throttles++
+		sample.Throttled = true
 	}
+	s.stepIdx = next
 	s.samples = append(s.samples, sample)
 	return sample, nil
-}
-
-// applyPower rewrites every die layer's power map for the operating
-// point, duty-cycling the dynamic share by the trace utilisation, with
-// leakage evaluated at the last observed peak (the dtm idiom).
-func (s *Stream) applyPower(step power.Step, util float64) error {
-	if err := mcpat.Assign(s.fp, s.cfg.Chip, step, s.lastPeak); err != nil {
-		return err
-	}
-	if util < 1 {
-		total := s.fp.TotalPower()
-		want := step.DynamicW*util + s.cfg.Chip.StaticAt(step, s.lastPeak)
-		if total > 0 {
-			s.fp.ScalePower(want / total)
-		}
-	}
-	grid := s.model.Grid
-	m := s.fp.PowerMap(grid.NX, grid.NY, grid.W, grid.H)
-	for die := 0; die < s.cfg.Chips; die++ {
-		copy(s.model.Layers[stack.DieLayer(die)].Power, m)
-	}
-	return nil
 }
 
 // Checkpoint snapshots the stream between intervals. The snapshot owns

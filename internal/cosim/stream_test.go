@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"waterimm/internal/core"
 	"waterimm/internal/material"
 	"waterimm/internal/power"
 	"waterimm/internal/stack"
@@ -246,4 +247,129 @@ func TestStreamRestoreRejectsBadCheckpoint(t *testing.T) {
 	if err := fresh().Restore(good); err != nil {
 		t.Errorf("valid checkpoint rejected: %v", err)
 	}
+}
+
+func TestStreamPhaseBoundariesExact(t *testing.T) {
+	// {0.2 s @ 1.0, 0.1 s @ 0.3} at 10 ms intervals: interval idx
+	// starts at 10·idx ms, so it is busy exactly when (10·idx mod 300)
+	// < 200. idx·IntervalS in binary floating point lands a hair either
+	// side of the 200 ms and 300 ms boundaries, which used to put
+	// seqs 31 and 61 in the idle phase and seq 51 in the busy one.
+	cfg := streamCfg(61)
+	cfg.Phases = []StreamPhase{
+		{DurationS: 0.2, Utilisation: 1},
+		{DurationS: 0.1, Utilisation: 0.3},
+	}
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s, 61)
+	for _, smp := range s.Samples() {
+		want := 0.3
+		if (10*(smp.Seq-1))%300 < 200 {
+			want = 1
+		}
+		if smp.Utilisation != want {
+			t.Errorf("seq %d: utilisation %g, want %g", smp.Seq, smp.Utilisation, want)
+		}
+	}
+}
+
+// governorCfg is the 16×16 high-frequency stack the governor tests
+// run from fmax: 0.05 s intervals integrated in two sub-steps under
+// the paper's 80 °C limit with a 2 °C band.
+func governorCfg(chips, intervals int) StreamConfig {
+	cfg := streamCfg(intervals)
+	cfg.Chip, cfg.FHz, cfg.Chips = power.HighFrequency, power.HighFrequency.FMaxHz, chips
+	cfg.IntervalS, cfg.SubSteps = 0.05, 2
+	cfg.DVFS = &DVFSPolicy{SetpointC: 80, HysteresisC: 2}
+	return cfg
+}
+
+func TestStreamGovernorHoldsSetpoint(t *testing.T) {
+	// The governor may overshoot transiently but must keep the bulk of
+	// 20 s of samples under the setpoint and stay within a few degrees
+	// of it at worst.
+	cfg := governorCfg(4, 400)
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s, cfg.Intervals)
+	if s.MaxPeakC() > cfg.DVFS.SetpointC+6 {
+		t.Errorf("peak %.1f C overshoots the %.0f C setpoint badly", s.MaxPeakC(), cfg.DVFS.SetpointC)
+	}
+	var over int
+	for _, smp := range s.Samples() {
+		if smp.PeakC > cfg.DVFS.SetpointC {
+			over++
+		}
+	}
+	if frac := float64(over) / float64(cfg.Intervals); frac > 0.25 {
+		t.Errorf("%.0f%% of samples above setpoint", frac*100)
+	}
+	if s.MeanGHz() <= 0 {
+		t.Error("no frequency recorded")
+	}
+}
+
+func TestStreamGovernorBeatsStaticWorstCase(t *testing.T) {
+	// The motivating comparison: the static planner must assume the
+	// steady-state worst case, while the governor rides the thermal
+	// capacitance and the actual duty cycle. Under a 60 % utilisation
+	// workload its mean frequency must be at least the static plan.
+	const chips = 6
+	plan, err := core.NewPlanner().MaxFrequency(power.HighFrequency, chips, material.Water)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Feasible {
+		t.Fatal("static plan infeasible")
+	}
+	cfg := governorCfg(chips, 600)
+	cfg.Phases = []StreamPhase{{DurationS: 1, Utilisation: 0.6}}
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s, cfg.Intervals)
+	t.Logf("static plan %.1f GHz, governed mean %.2f GHz (max peak %.1f C)",
+		plan.Step.GHz(), s.MeanGHz(), s.MaxPeakC())
+	if s.MeanGHz() < plan.Step.GHz()-0.05 {
+		t.Errorf("governed mean %.2f GHz below the static plan %.2f GHz", s.MeanGHz(), plan.Step.GHz())
+	}
+}
+
+func TestStreamGovernorBacksOffUnderAir(t *testing.T) {
+	// Air cannot hold a 4-chip stack at fmax: over 30 s the governor
+	// must land on a lower step rather than oscillate at the top.
+	cfg := governorCfg(4, 600)
+	cfg.Coolant = material.Air
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, s, cfg.Intervals)
+	samples := s.Samples()
+	last := samples[len(samples)-1]
+	if last.FHz >= power.HighFrequency.FMaxHz {
+		t.Errorf("air-cooled governor still at fmax with peak %.1f C", last.PeakC)
+	}
+}
+
+func TestStreamGovernorValidation(t *testing.T) {
+	// A governed stream rejects the same degenerate runs as an
+	// ungoverned one: no chips, no coupling period, no duration.
+	bad := func(name string, mutate func(*StreamConfig)) {
+		cfg := governorCfg(2, 4)
+		cfg.Chip, cfg.FHz = power.LowPower, power.LowPower.FMaxHz
+		mutate(&cfg)
+		if _, err := NewStream(cfg); err == nil {
+			t.Errorf("%s: expected error", name)
+		}
+	}
+	bad("zero chips", func(c *StreamConfig) { c.Chips = 0 })
+	bad("zero interval", func(c *StreamConfig) { c.IntervalS = 0 })
+	bad("zero intervals", func(c *StreamConfig) { c.Intervals = 0 })
 }

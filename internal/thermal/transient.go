@@ -14,8 +14,8 @@ import (
 // by orders of magnitude.
 //
 // The paper's evaluation is worst-case steady state; the stepper
-// backs the DTM extension: the interval loops of cosim.Stream and
-// cosim.RunCtx (and package dtm) advance the field through it.
+// backs the DTM extension: cosim.Stream's interval loop, which also
+// drives cosim.RunCtx, advances the field through it.
 //
 // The shifted operator G + C/Δt is time-invariant, so NewStepper
 // factors it once with zero-fill incomplete Cholesky (IC(0)) and every
