@@ -97,11 +97,7 @@ func (e *Engine) auditCHF(chip power.Model, coolant material.Coolant, req *api.A
 	if !ok {
 		return hotspot, 0, false, nil
 	}
-	if hotspot > l {
-		e.metrics.add(&e.metrics.chfViolations, 1)
-		return hotspot, l, true, nil
-	}
-	return hotspot, l, false, nil
+	return hotspot, l, hotspot > l, nil
 }
 
 // firstOf returns the earliest nonzero year, 0 when both are 0.

@@ -1,9 +1,13 @@
 package service
 
 import (
+	"context"
 	"testing"
 
 	"waterimm/internal/api"
+	"waterimm/internal/core"
+	"waterimm/internal/material"
+	"waterimm/internal/power"
 )
 
 // auditServiceRequest is the cheapest meaningful audit: one chip, two
@@ -97,12 +101,29 @@ func TestAuditLifecycle(t *testing.T) {
 		}
 	}
 
+	// A fresh engine computes every cell, so the hotspot counter must
+	// tick exactly once per CHF-exceeding cell: fluorinert's three
+	// years. The audit's own verdict recompute must not count again.
 	m := e.Metrics()
 	if m.AuditJobs != 1 {
 		t.Errorf("audit_jobs = %d", m.AuditJobs)
 	}
-	if m.CHFViolations == 0 {
-		t.Error("chf_violations stayed 0 despite fluorinert failing every year")
+	if resp.CachedCells != 0 || resp.DedupedCells != 0 {
+		t.Fatalf("fresh engine served %d cached, %d deduped cells", resp.CachedCells, resp.DedupedCells)
+	}
+	var want uint64
+	for _, row := range resp.Rows {
+		for _, y := range row.Years {
+			if y.CHFExceeded {
+				want++
+			}
+		}
+	}
+	if want != 3 || m.CHFHotspotExceedances != want {
+		t.Errorf("chf_hotspot_exceedances = %d, want %d (one per computed CHF-exceeding cell)", m.CHFHotspotExceedances, want)
+	}
+	if m.CHFBoundaryCells != 0 {
+		t.Errorf("chf_boundary_cells = %d at the stock CHF limit, want 0", m.CHFBoundaryCells)
 	}
 }
 
@@ -127,8 +148,31 @@ func TestAuditRepeatCached(t *testing.T) {
 	if !in.CacheHit || in.State != StateDone {
 		t.Fatalf("repeat audit not served from cache: %+v", in)
 	}
-	if m := e.Metrics(); m.AuditJobs != 1 {
+	m := e.Metrics()
+	if m.AuditJobs != 1 {
 		t.Errorf("audit_jobs = %d after cached repeat, want 1", m.AuditJobs)
+	}
+	if m.CHFHotspotExceedances != 3 {
+		t.Errorf("chf_hotspot_exceedances = %d after cached repeat, want 3", m.CHFHotspotExceedances)
+	}
+
+	// One more year: the three earlier years per coolant are cell-cache
+	// hits and must not count again; only fluorinert's new year does.
+	longer := auditServiceRequest()
+	longer.EndYear = 2029
+	in, err = e.Submit(longer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitDone(t, e, in.ID)
+	if got.State != StateDone {
+		t.Fatalf("state %s, error %q", got.State, got.Error)
+	}
+	if resp := got.Result.(*api.AuditResponse); resp.CachedCells != 6 {
+		t.Fatalf("extended audit reused %d cells, want 6", resp.CachedCells)
+	}
+	if m := e.Metrics(); m.CHFHotspotExceedances != 4 {
+		t.Errorf("chf_hotspot_exceedances = %d after one new exceeding cell, want 4", m.CHFHotspotExceedances)
 	}
 }
 
@@ -201,8 +245,9 @@ func TestPlanReportsCHF(t *testing.T) {
 		t.Errorf("fluorinert hotspot %g W/cm² vs limit %g W/cm² not flagged",
 			resp.HotspotWCM2, resp.CHFLimitWCM2)
 	}
-	if m := e.Metrics(); m.CHFViolations == 0 {
-		t.Error("chf_violations stayed 0")
+	if m := e.Metrics(); m.CHFHotspotExceedances != 1 || m.CHFBoundaryCells != 0 {
+		t.Errorf("chf_hotspot_exceedances = %d, chf_boundary_cells = %d; want 1, 0",
+			m.CHFHotspotExceedances, m.CHFBoundaryCells)
 	}
 
 	// Air never has a limit to cross.
@@ -279,7 +324,20 @@ func TestPlanFilmBoilingDegrades(t *testing.T) {
 	if m.FilmBoilingCells == 0 {
 		t.Error("film_boiling_cells metric stayed 0")
 	}
-	if m.CHFViolations == 0 {
-		t.Error("chf_violations metric stayed 0")
+	if m.CHFHotspotExceedances != 1 {
+		t.Errorf("chf_hotspot_exceedances = %d for one plan, want 1", m.CHFHotspotExceedances)
+	}
+	// The boundary-cell counter carries the chosen step's solver-side
+	// scan: re-plan the same request on a bare planner and count.
+	ref := core.NewPlanner()
+	ref.ThresholdC = 80
+	ref.Params.GridNX, ref.Params.GridNY = 8, 8
+	ref.Params.CHFScale = 1e-4
+	refPlan, refRes, err := ref.MaxFrequencyResultCtx(context.Background(), power.LowPower, 1, material.Fluorinert)
+	if err != nil || !refPlan.Feasible {
+		t.Fatalf("reference plan: %+v, %v", refPlan, err)
+	}
+	if want := uint64(refRes.CHFViolations()); want == 0 || m.CHFBoundaryCells != want {
+		t.Errorf("chf_boundary_cells = %d, want %d", m.CHFBoundaryCells, want)
 	}
 }

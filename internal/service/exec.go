@@ -104,7 +104,7 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 			resp.CHFLimitWCM2 = limit / 1e4
 			if hotspot > limit {
 				resp.CHFExceeded = true
-				e.metrics.add(&e.metrics.chfViolations, 1)
+				e.metrics.add(&e.metrics.chfHotspotExceedances, 1)
 			}
 		}
 	}
@@ -134,7 +134,7 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 	// envelope sits below every coolant's CHF); it engages when
 	// operators tighten -chf-scale or model weaker coolants.
 	if viol := res.CHFViolations(); viol > 0 {
-		e.metrics.add(&e.metrics.chfViolations, uint64(viol))
+		e.metrics.add(&e.metrics.chfBoundaryCells, uint64(viol))
 		if err := e.resolveTwoPhase(ctx, p, chip, coolant, r, plan.Step.FHz, resp); err != nil {
 			return nil, err
 		}

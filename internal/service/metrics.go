@@ -92,13 +92,17 @@ type metrics struct {
 	mcSamplesDeduped uint64
 
 	// Two-phase physics counters: auditJobs counts roadmap-audit jobs
-	// that ran their orchestrator; chfViolations counts critical-heat-
-	// flux crossings (hotspot cells whose flux exceeds the coolant's
-	// boiling limit); filmBoilingCells counts boundary cells the
-	// two-phase re-solve pushed into the film-boiling regime.
-	auditJobs        uint64
-	chfViolations    uint64
-	filmBoilingCells uint64
+	// that ran their orchestrator; chfHotspotExceedances counts
+	// computed operating points whose generation-side hotspot flux
+	// exceeds the coolant's boiling limit (one per point);
+	// chfBoundaryCells counts wetted boundary cells whose solved
+	// surface flux exceeds it (cells, summed over plans);
+	// filmBoilingCells counts boundary cells the two-phase re-solve
+	// pushed into the film-boiling regime.
+	auditJobs             uint64
+	chfHotspotExceedances uint64
+	chfBoundaryCells      uint64
+	filmBoilingCells      uint64
 
 	// Streaming co-simulation counters: streamJobs counts cosimstream
 	// jobs that ran their orchestrator; streamIntervals counts
@@ -257,15 +261,20 @@ type Snapshot struct {
 
 	// Two-phase physics. AuditJobs counts chip-roadmap audits that ran
 	// their orchestrator (whole-job cache hits count in CacheHits).
-	// CHFViolations counts critical-heat-flux crossings — hotspots
-	// generating more flux than the coolant's boiling crisis admits;
-	// any sustained nonzero rate is an alert condition, because past
-	// CHF the film coefficient collapses rather than degrades.
+	// CHFHotspotExceedances counts operating points, one per computed
+	// plan or audit cell whose die hotspot generates more flux than the
+	// coolant's boiling crisis admits (cache hits do not count again).
+	// CHFBoundaryCells counts boundary cells, summed over computed
+	// plans: wetted cells whose solved single-phase surface flux
+	// exceeds their layer's CHF limit at the chosen step. Any sustained
+	// nonzero rate of either is an alert condition, because past CHF
+	// the film coefficient collapses rather than degrades.
 	// FilmBoilingCells counts boundary cells the two-phase re-solve
 	// drove into film boiling.
-	AuditJobs        uint64 `json:"audit_jobs"`
-	CHFViolations    uint64 `json:"chf_violations"`
-	FilmBoilingCells uint64 `json:"film_boiling_cells"`
+	AuditJobs             uint64 `json:"audit_jobs"`
+	CHFHotspotExceedances uint64 `json:"chf_hotspot_exceedances"`
+	CHFBoundaryCells      uint64 `json:"chf_boundary_cells"`
+	FilmBoilingCells      uint64 `json:"film_boiling_cells"`
 
 	// Streaming co-simulation. StreamJobs counts cosimstream jobs that
 	// ran their orchestrator (whole-job cache hits count in CacheHits).
@@ -348,7 +357,8 @@ func (m *metrics) snapshot() Snapshot {
 		MCJobs:                 m.mcJobs,
 		MCSamplesDeduped:       m.mcSamplesDeduped,
 		AuditJobs:              m.auditJobs,
-		CHFViolations:          m.chfViolations,
+		CHFHotspotExceedances:  m.chfHotspotExceedances,
+		CHFBoundaryCells:       m.chfBoundaryCells,
 		FilmBoilingCells:       m.filmBoilingCells,
 		StreamJobs:             m.streamJobs,
 		StreamIntervals:        m.streamIntervals,

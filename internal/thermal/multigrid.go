@@ -42,14 +42,6 @@ import (
 // (exclusive ownership between Acquire and Release). Borrow returns a
 // buffer-private view for a second owner; RefreshedCopy rebuilds the
 // values under the same structure for a perturbed sibling system.
-//
-// Coarse levels store their operators, smoother factors, and work
-// vectors in float32: the V-cycle is memory-bound on large grids, so
-// halving coarse-level traffic buys wall-clock directly, while the
-// float64 fine level and the float64 CG recurrence keep the converged
-// answer at full precision — the preconditioner only has to be a
-// fixed SPD operator, not an accurate one. An all-float64 build is
-// available for equivalence testing (MultigridFP64).
 type Multigrid struct {
 	levels []*mgLevel
 	chol   *denseChol
@@ -59,16 +51,12 @@ type Multigrid struct {
 	omega float64
 	// smooths is the number of pre- and of post-smoothing sweeps.
 	smooths int
-	// f64coarse keeps the coarse hierarchy in float64 (testing only).
-	f64coarse bool
 }
 
 // mgLevel is one grid level: its operator in CSR form, the z-line
 // smoother factorization, the interpolation to/from the next coarser
-// level, and scratch vectors sized for this level. The finest level
-// keeps everything in float64 (its operator slices alias the
-// System's); coarse levels hold only the float32 mirrors unless the
-// hierarchy was built with f64coarse.
+// level, and scratch vectors sized for this level. The finest level's
+// operator slices alias the System's.
 type mgLevel struct {
 	nx, ny, layers int
 	n              int // unknowns on this level (level 0 includes extras)
@@ -91,25 +79,12 @@ type mgLevel struct {
 	lineInvD []float64
 	lineC    []float64
 
-	// float32 mirrors of the operator and smoother data plus the work
-	// vectors, populated on coarse levels of a mixed-precision build
-	// (the float64 slices above are then released).
-	val32      []float32
-	inv32      []float32
-	lineInvD32 []float32
-	lineC32    []float32
-
 	// prolong maps the next coarser level's field up to this one;
-	// restrict is its transpose. Both nil on the coarsest level. The
-	// weights are products of the exact stencil values ¾, ¼, and 1,
-	// so they stay float64: they are also the input to a value
-	// refresh, and converting on load costs the coarse kernels
-	// nothing measurable on rows of ≤4 entries.
+	// restrict is its transpose. Both nil on the coarsest level.
 	prolong  *csrMat
 	restrict *csrMat
 
-	x, b, res       []float64
-	x32, b32, res32 []float32
+	x, b, res []float64
 }
 
 // csrMat is a rectangular sparse matrix (rows × cols) used for the
@@ -140,20 +115,12 @@ func (s *System) Multigrid() (*Multigrid, error) {
 	if s.mg != nil {
 		return s.mg, nil
 	}
-	mg, err := buildMultigrid(s, false, nil)
+	mg, err := buildMultigrid(s, nil)
 	if err != nil {
 		return nil, err
 	}
 	s.mg = mg
 	return mg, nil
-}
-
-// MultigridFP64 builds an uncached all-float64 hierarchy. It exists
-// so the equivalence suite can pin the mixed-precision default
-// against full-precision coarse levels; production paths use
-// Multigrid.
-func (s *System) MultigridFP64() (*Multigrid, error) {
-	return buildMultigrid(s, true, nil)
 }
 
 // Name identifies the preconditioner in solve stats and metrics.
@@ -172,11 +139,10 @@ func (m *Multigrid) Levels() int { return len(m.levels) }
 // grows.
 func (m *Multigrid) Borrow() *Multigrid {
 	nm := &Multigrid{
-		levels:    make([]*mgLevel, len(m.levels)),
-		chol:      m.chol,
-		omega:     m.omega,
-		smooths:   m.smooths,
-		f64coarse: m.f64coarse,
+		levels:  make([]*mgLevel, len(m.levels)),
+		chol:    m.chol,
+		omega:   m.omega,
+		smooths: m.smooths,
 	}
 	for i, l := range m.levels {
 		c := *l
@@ -188,15 +154,6 @@ func (m *Multigrid) Borrow() *Multigrid {
 		}
 		if l.b != nil {
 			c.b = make([]float64, l.n)
-		}
-		if l.res32 != nil {
-			c.res32 = make([]float32, l.n)
-		}
-		if l.x32 != nil {
-			c.x32 = make([]float32, l.n)
-		}
-		if l.b32 != nil {
-			c.b32 = make([]float32, l.n)
 		}
 		nm.levels[i] = &c
 	}
@@ -212,12 +169,12 @@ func (m *Multigrid) Borrow() *Multigrid {
 // far, the caller refreshes at a fraction of a full build. s must
 // share the structure the receiver was built from.
 func (m *Multigrid) RefreshedCopy(s *System) (*Multigrid, error) {
-	return buildMultigrid(s, m.f64coarse, m)
+	return buildMultigrid(s, m)
 }
 
 // buildMultigrid constructs the level structure (reusing the transfer
 // operators of `reuse` when given), then fills in the values.
-func buildMultigrid(s *System, f64coarse bool, reuse *Multigrid) (*Multigrid, error) {
+func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
 	mdl := s.model
 	if mdl == nil {
 		return nil, fmt.Errorf("thermal: multigrid needs the grid structure; system has no model")
@@ -235,7 +192,7 @@ func buildMultigrid(s *System, f64coarse bool, reuse *Multigrid) (*Multigrid, er
 		inv: s.invDiag,
 		res: make([]float64, s.N),
 	}
-	mg := &Multigrid{levels: []*mgLevel{fine}, omega: 0.9, smooths: 1, f64coarse: f64coarse}
+	mg := &Multigrid{levels: []*mgLevel{fine}, omega: 0.9, smooths: 1}
 	if reuse != nil && (len(reuse.levels) == 0 || reuse.levels[0].n != s.N) {
 		return nil, fmt.Errorf("thermal: multigrid refresh against a different structure")
 	}
@@ -279,10 +236,8 @@ func buildMultigrid(s *System, f64coarse bool, reuse *Multigrid) (*Multigrid, er
 
 // computeValues fills in everything value-dependent across the
 // hierarchy: the Galerkin chain, inverse diagonals, line-smoother
-// factors, and the dense coarsest factorization. Each coarse level is
-// computed in float64, consumed by the next Galerkin product, and
-// then released to its storage precision by finishLevel. Shared by
-// the initial build and RefreshedCopy.
+// factors, the dense coarsest factorization, and each coarse level's
+// work vectors. Shared by the initial build and RefreshedCopy.
 func (m *Multigrid) computeValues() error {
 	last := len(m.levels) - 1
 	for li := 0; li <= last; li++ {
@@ -301,7 +256,7 @@ func (m *Multigrid) computeValues() error {
 				inv[i] = 1 / d
 			}
 			l.rowPtr, l.colIdx, l.val, l.inv = rowPtr, colIdx, val, inv
-			m.finishLevel(li - 1)
+			l.x, l.b, l.res = make([]float64, l.n), make([]float64, l.n), make([]float64, l.n)
 		}
 		if li < last {
 			if err := l.buildLineSmoother(); err != nil {
@@ -312,56 +267,10 @@ func (m *Multigrid) computeValues() error {
 			if err != nil {
 				return err
 			}
-			if li >= 1 && !m.f64coarse {
-				chol.f32 = f32slice(chol.f)
-				chol.f = nil
-			}
 			m.chol = chol
-			m.finishLevel(li)
 		}
 	}
 	return nil
-}
-
-// finishLevel moves a level to its storage precision and allocates
-// its work vectors, once its float64 values have been consumed by the
-// next level's Galerkin product (or the dense factorization). The
-// fine level always stays float64.
-func (m *Multigrid) finishLevel(li int) {
-	l := m.levels[li]
-	if li == 0 {
-		return
-	}
-	if m.f64coarse {
-		if l.x == nil {
-			l.x = make([]float64, l.n)
-			l.b = make([]float64, l.n)
-			l.res = make([]float64, l.n)
-		}
-		return
-	}
-	l.val32 = f32slice(l.val)
-	l.inv32 = f32slice(l.inv)
-	l.lineInvD32 = f32slice(l.lineInvD)
-	l.lineC32 = f32slice(l.lineC)
-	l.val, l.inv, l.lineInvD, l.lineC = nil, nil, nil, nil
-	if l.x32 == nil {
-		l.x32 = make([]float32, l.n)
-		l.b32 = make([]float32, l.n)
-		l.res32 = make([]float32, l.n)
-	}
-}
-
-// f32slice converts a float64 slice to float32, preserving nil.
-func f32slice(v []float64) []float32 {
-	if v == nil {
-		return nil
-	}
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
 }
 
 // buildLineSmoother factors every vertical column's tridiagonal part
@@ -640,36 +549,6 @@ func (m *csrMat) mul(dst, x []float64) {
 	})
 }
 
-// mulInto32 computes dst = M·x across the precision boundary: float64
-// source, float64 accumulation, float32 store (the level-0 restrict
-// of a mixed hierarchy).
-func (m *csrMat) mulInto32(dst []float32, x []float64) {
-	rowPtr, colIdx, val := m.rowPtr, m.colIdx, m.val
-	parallel.For(m.rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var sum float64
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			dst[r] = float32(sum)
-		}
-	})
-}
-
-// mul32 computes dst = M·x between two float32 coarse levels.
-func (m *csrMat) mul32(dst, x []float32) {
-	rowPtr, colIdx, val := m.rowPtr, m.colIdx, m.val
-	parallel.For(m.rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var sum float32
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				sum += float32(val[k]) * x[colIdx[k]]
-			}
-			dst[r] = sum
-		}
-	})
-}
-
 // Apply runs one V-cycle on r with zero initial guess, writing the
 // preconditioned residual to z. z and r must have the fine level's
 // length and may not alias.
@@ -706,86 +585,21 @@ func (m *Multigrid) vcycle(li int, x, b []float64) {
 		}
 	})
 	next := m.levels[li+1]
-	p := l.prolong
-	if next.x32 != nil {
-		// Mixed-precision boundary: restrict the float64 residual into
-		// the float32 coarse hierarchy, recurse there, and prolong the
-		// float32 correction back with float64 accumulation.
-		l.restrict.mulInto32(next.b32, l.res)
-		m.vcycle32(li+1, next.x32, next.b32)
-		xc := next.x32
-		parallel.For(l.n, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				var sum float64
-				for k := p.rowPtr[r]; k < p.rowPtr[r+1]; k++ {
-					sum += p.val[k] * float64(xc[p.colIdx[k]])
-				}
-				x[r] += sum
-			}
-		})
-	} else {
-		l.restrict.mul(next.b, l.res)
-		m.vcycle(li+1, next.x, next.b)
-		// x += P·xc, fused with the gather.
-		xc := next.x
-		parallel.For(l.n, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				var sum float64
-				for k := p.rowPtr[r]; k < p.rowPtr[r+1]; k++ {
-					sum += p.val[k] * xc[p.colIdx[k]]
-				}
-				x[r] += sum
-			}
-		})
-	}
-	for s := 0; s < m.smooths; s++ {
-		l.smooth(x, b, omega)
-	}
-}
-
-// vcycle32 is the float32 V-cycle for coarse levels (li ≥ 1) of a
-// mixed-precision hierarchy, mirroring vcycle.
-func (m *Multigrid) vcycle32(li int, x, b []float32) {
-	l := m.levels[li]
-	if li == len(m.levels)-1 {
-		m.chol.solve32(x, b)
-		return
-	}
-	omega := float32(m.omega)
-	copy(x, b)
-	l.lineSolve32(x)
-	if omega != 1 {
-		parallel.For(l.n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] *= omega
-			}
-		})
-	}
-	for s := 1; s < m.smooths; s++ {
-		l.smooth32(x, b, omega)
-	}
-	l.matVec32(l.res32, x)
-	parallel.For(l.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			l.res32[i] = b[i] - l.res32[i]
-		}
-	})
-	next := m.levels[li+1]
-	l.restrict.mul32(next.b32, l.res32)
-	m.vcycle32(li+1, next.x32, next.b32)
-	p := l.prolong
-	xc := next.x32
+	l.restrict.mul(next.b, l.res)
+	m.vcycle(li+1, next.x, next.b)
+	// x += P·xc, fused with the gather.
+	p, xc := l.prolong, next.x
 	parallel.For(l.n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			var sum float32
+			var sum float64
 			for k := p.rowPtr[r]; k < p.rowPtr[r+1]; k++ {
-				sum += float32(p.val[k]) * xc[p.colIdx[k]]
+				sum += p.val[k] * xc[p.colIdx[k]]
 			}
 			x[r] += sum
 		}
 	})
 	for s := 0; s < m.smooths; s++ {
-		l.smooth32(x, b, omega)
+		l.smooth(x, b, omega)
 	}
 }
 
@@ -807,70 +621,12 @@ func (l *mgLevel) smooth(x, b []float64, omega float64) {
 	})
 }
 
-// The float32 kernels below mirror their float64 counterparts over
-// the coarse levels' float32 storage; the error they introduce is
-// absorbed by the float64 CG recurrence on the fine level.
-
-// matVec32 computes dst = A_l·x over the level's float32 CSR.
-func (l *mgLevel) matVec32(dst, x []float32) {
-	rowPtr, colIdx, val := l.rowPtr, l.colIdx, l.val32
-	parallel.For(l.n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var sum float32
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			dst[r] = sum
-		}
-	})
-}
-
-// lineSolve32 overwrites z with M⁻¹·z using the float32 line factors.
-// Coarse levels carry no lumped extras, so there is no Jacobi tail.
-func (l *mgLevel) lineSolve32(z []float32) {
-	nc := l.nx * l.ny
-	layers := l.layers
-	invD, c := l.lineInvD32, l.lineC32
-	parallel.For(nc, func(lo, hi int) {
-		for cell := lo; cell < hi; cell++ {
-			for lay := 1; lay < layers; lay++ {
-				idx := lay*nc + cell
-				z[idx] -= c[idx-nc] * z[idx-nc]
-			}
-			last := (layers-1)*nc + cell
-			z[last] *= invD[last]
-			for lay := layers - 2; lay >= 0; lay-- {
-				idx := lay*nc + cell
-				z[idx] = z[idx]*invD[idx] - c[idx]*z[idx+nc]
-			}
-		}
-	})
-}
-
-// smooth32 performs one damped z-line sweep in float32.
-func (l *mgLevel) smooth32(x, b []float32, omega float32) {
-	l.matVec32(l.res32, x)
-	res := l.res32
-	parallel.For(l.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			res[i] = b[i] - res[i]
-		}
-	})
-	l.lineSolve32(res)
-	parallel.For(l.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] += omega * res[i]
-		}
-	})
-}
-
 // denseChol is a dense Cholesky factorization of the coarsest-level
 // operator; the exact coarse solve keeps the V-cycle a fixed linear
 // SPD operator.
 type denseChol struct {
-	n   int
-	f   []float64 // lower-triangular factor, row-major n×n
-	f32 []float32 // float32 factor of a mixed hierarchy (f released)
+	n int
+	f []float64 // lower-triangular factor, row-major n×n
 }
 
 func newDenseChol(l *mgLevel) (*denseChol, error) {
@@ -919,28 +675,5 @@ func (c *denseChol) solve(x, b []float64) {
 			s -= f[k*n+i] * x[k]
 		}
 		x[i] = s / f[i*n+i]
-	}
-}
-
-// solve32 is the float32 substitution against the demoted factor,
-// accumulating in float64: the substitution sums run the full
-// coarsest dimension, where float32 accumulation would actually lose
-// digits, and the scalar work is negligible next to the factor loads.
-func (c *denseChol) solve32(x, b []float32) {
-	n, f := c.n, c.f32
-	copy(x, b)
-	for i := 0; i < n; i++ {
-		s := float64(x[i])
-		for k := 0; k < i; k++ {
-			s -= float64(f[i*n+k]) * float64(x[k])
-		}
-		x[i] = float32(s / float64(f[i*n+i]))
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := float64(x[i])
-		for k := i + 1; k < n; k++ {
-			s -= float64(f[k*n+i]) * float64(x[k])
-		}
-		x[i] = float32(s / float64(f[i*n+i]))
 	}
 }

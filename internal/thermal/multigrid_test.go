@@ -67,28 +67,40 @@ func solveWith(t *testing.T, m *Model, kind string) ([]float64, SolveStats) {
 
 // TestMultigridMatchesJacobi checks the acceptance contract: the MG
 // and Jacobi paths must agree within solver tolerance — the
-// preconditioner changes the iteration, never the answer.
+// preconditioner changes the iteration, never the answer. The inputs
+// cover plain and lumped-extras stacks, a value-perturbed stack (the
+// Monte-Carlo sample shape) and a skewed grid that semicoarsens.
 func TestMultigridMatchesJacobi(t *testing.T) {
-	for _, withExtras := range []bool{false, true} {
-		xj, sj := solveWith(t, mgStack(32, 32, withExtras), PrecondJacobi)
-		xm, sm := solveWith(t, mgStack(32, 32, withExtras), PrecondMG)
-		if sj.Preconditioner != PrecondJacobi || sm.Preconditioner != PrecondMG {
-			t.Fatalf("stats report %q / %q", sj.Preconditioner, sm.Preconditioner)
-		}
-		var maxDiff, maxRise float64
-		for i := range xj {
-			maxDiff = math.Max(maxDiff, math.Abs(xj[i]-xm[i]))
-			maxRise = math.Max(maxRise, xj[i]-25)
-		}
-		if maxDiff > 1e-4*maxRise {
-			t.Errorf("extras=%v: fields differ by %.3e (max rise %.3f)", withExtras, maxDiff, maxRise)
-		}
-		if sm.Iterations >= sj.Iterations {
-			t.Errorf("extras=%v: MG took %d iterations, Jacobi %d — no preconditioning win",
-				withExtras, sm.Iterations, sj.Iterations)
-		}
-		t.Logf("extras=%v: jacobi %d iters, mg %d iters, maxdiff %.2e",
-			withExtras, sj.Iterations, sm.Iterations, maxDiff)
+	for _, tc := range []struct {
+		name  string
+		model func() *Model
+	}{
+		{"plain", func() *Model { return mgStack(32, 32, false) }},
+		{"extras", func() *Model { return mgStack(32, 32, true) }},
+		{"perturbed", func() *Model { return perturbStack(48, 48, true) }},
+		{"skewed", func() *Model { return mgStack(8, 96, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			xj, sj := solveWith(t, tc.model(), PrecondJacobi)
+			xm, sm := solveWith(t, tc.model(), PrecondMG)
+			if sj.Preconditioner != PrecondJacobi || sm.Preconditioner != PrecondMG {
+				t.Fatalf("stats report %q / %q", sj.Preconditioner, sm.Preconditioner)
+			}
+			ambient := tc.model().AmbientC
+			var maxDiff, maxRise float64
+			for i := range xj {
+				maxDiff = math.Max(maxDiff, math.Abs(xj[i]-xm[i]))
+				maxRise = math.Max(maxRise, xj[i]-ambient)
+			}
+			if maxDiff > 1e-4*maxRise {
+				t.Errorf("fields differ by %.3e (max rise %.3f)", maxDiff, maxRise)
+			}
+			if sm.Iterations >= sj.Iterations {
+				t.Errorf("MG took %d iterations, Jacobi %d — no preconditioning win",
+					sm.Iterations, sj.Iterations)
+			}
+			t.Logf("jacobi %d iters, mg %d iters, maxdiff %.2e", sj.Iterations, sm.Iterations, maxDiff)
+		})
 	}
 }
 
