@@ -459,9 +459,10 @@ func validGrid(nx, ny int) error {
 // budget bounds the per-job memory. At the cap, a 256×256×8-chip
 // stack is 256·256·(2·8+2) ≈ 1.2 M unknowns: ~7 CSR entries per row
 // (≈ 100 MB matrix) plus solver vectors (~60 MB) plus the multigrid
-// hierarchy (Galerkin coarse operators total ≈ 1.3× the fine matrix,
-// ≈ 130 MB) — roughly 300 MB per concurrent job, which one worker
-// can hold comfortably. The budget is 4× the previous 128·128·8
+// hierarchy (seven-point coarse operators total ≈ 0.33× the fine
+// matrix, ≈ 32 MB; the bilinear transfers P and Pᵀ ≈ 110 MB) —
+// roughly 300 MB per concurrent job, which one worker can hold
+// comfortably. The budget is 4× the previous 128·128·8
 // because multigrid preconditioning makes the CG iteration count
 // grid-independent: a 256-per-axis solve now costs about as many
 // iterations as a 64-per-axis one did under Jacobi. Validation

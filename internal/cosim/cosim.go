@@ -88,6 +88,10 @@ type Config struct {
 	DurationS float64
 	// MaxIntervals guards against runaway runs (0 = 1e6).
 	MaxIntervals int
+	// OnSolve, when non-nil, observes every transient step's CG solve
+	// (see thermal.Stepper.OnSolve); the steady reference solve is not
+	// reported.
+	OnSolve func(thermal.SolveStats)
 }
 
 // Sample is one coupling interval's record.
@@ -183,6 +187,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	st, err := newStream(StreamConfig{
 		Chip: cfg.Chip, Chips: cfg.Chips, Coolant: cfg.Coolant, Params: cfg.Params,
 		FHz: cfg.FHz, IntervalS: cfg.IntervalS, Intervals: intervals, DVFS: cfg.DVFS,
+		OnSolve: cfg.OnSolve,
 	}, nil)
 	if err != nil {
 		return nil, err

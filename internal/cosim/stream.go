@@ -46,6 +46,9 @@ type StreamConfig struct {
 	Phases []StreamPhase
 	// DVFS, when non-nil, enables the hysteresis governor.
 	DVFS *DVFSPolicy
+	// OnSolve, when non-nil, observes every backward-Euler sub-step's
+	// CG solve (see thermal.Stepper.OnSolve).
+	OnSolve func(thermal.SolveStats)
 }
 
 // StreamSample is one interval's record. Seq is 1-based and
@@ -217,6 +220,7 @@ func newStream(cfg StreamConfig, src powerSource) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	stepper.OnSolve = cfg.OnSolve
 	return &Stream{
 		cfg: cfg, src: src, steps: steps, stepIdx: stepIdx,
 		fp: fp, model: model, sys: sys, stepper: stepper,

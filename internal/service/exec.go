@@ -23,7 +23,7 @@ func (e *Engine) execute(ctx context.Context, req api.Request) (any, error) {
 	case *api.PlanRequest:
 		return e.runPlan(ctx, r)
 	case *api.CosimRequest:
-		return runCosim(ctx, r)
+		return e.runCosim(ctx, r)
 	}
 	return nil, fmt.Errorf("service: unknown request kind %q", req.Kind())
 }
@@ -240,7 +240,7 @@ func applyPerturb(p *core.Planner, coolant *material.Coolant, pb *api.Perturb) {
 	p.DynScale, p.StatScale = pb.PDyn, pb.PStat
 }
 
-func runCosim(ctx context.Context, r *api.CosimRequest) (*api.CosimResponse, error) {
+func (e *Engine) runCosim(ctx context.Context, r *api.CosimRequest) (*api.CosimResponse, error) {
 	bench, err := npb.ByName(r.Benchmark)
 	if err != nil {
 		return nil, err
@@ -259,6 +259,7 @@ func runCosim(ctx context.Context, r *api.CosimRequest) (*api.CosimResponse, err
 		Chip: chip, Chips: r.Chips, Coolant: coolant, Params: params,
 		Benchmark: bench, Scale: r.Scale, Seed: r.Seed,
 		FHz: r.GHz * 1e9, IntervalS: r.IntervalS, DurationS: r.DurationS,
+		OnSolve: e.metrics.observeSolve,
 	}
 	if r.DVFSSetpointC > 0 {
 		cfg.DVFS = &cosim.DVFSPolicy{SetpointC: r.DVFSSetpointC, HysteresisC: r.DVFSHysteresisC}

@@ -129,7 +129,7 @@ type metrics struct {
 	hists map[string]*Histogram
 
 	// solver aggregates per-solve CG statistics keyed by
-	// preconditioner kind ("jacobi", "mg").
+	// preconditioner kind ("jacobi", "mg", "ichol").
 	solver map[string]*SolverStats
 }
 
@@ -151,8 +151,9 @@ func newMetrics() *metrics {
 	}
 }
 
-// observeSolve records one steady-state CG solve; it matches the
-// core.Planner OnSolve hook.
+// observeSolve records one CG solve; it matches the core.Planner
+// OnSolve hook for steady solves and the cosim OnSolve hook for
+// transient steps (the "ichol" bucket).
 func (m *metrics) observeSolve(st thermal.SolveStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -330,8 +331,9 @@ type Snapshot struct {
 	// "run.sweep") to its histogram.
 	LatencyS map[string]*Histogram `json:"latency_s"`
 
-	// Solver maps preconditioner kind ("jacobi", "mg") to aggregate
-	// CG iteration statistics for every steady solve the planner ran.
+	// Solver maps preconditioner kind to aggregate CG iteration
+	// statistics: "jacobi" and "mg" for every steady solve the planner
+	// ran, "ichol" for every transient stepper sub-step.
 	Solver map[string]*SolverStats `json:"solver"`
 }
 

@@ -75,6 +75,7 @@ func (e *Engine) buildStream(req *api.CosimStreamRequest) (*cosim.Stream, error)
 		Chip: chip, Chips: req.Chips, Coolant: coolant, Params: params,
 		FHz: req.GHz * 1e9, IntervalS: req.IntervalS,
 		Intervals: req.Intervals, SubSteps: req.SubSteps,
+		OnSolve: e.metrics.observeSolve,
 	}
 	for _, p := range req.Trace {
 		cfg.Phases = append(cfg.Phases, cosim.StreamPhase{DurationS: p.DurationS, Utilisation: p.Utilisation})

@@ -243,3 +243,31 @@ func TestStreamDrainResume(t *testing.T) {
 		t.Errorf("resumed response differs from uninterrupted run:\nresumed %s\nclean   %s", resumedJSON, cleanJSON)
 	}
 }
+
+// TestStreamJobReportsStepperSolves checks that every backward-Euler
+// sub-step of a cosimstream job reaches /v1/metrics as one solve in
+// the "ichol" bucket, next to the planner's steady buckets.
+func TestStreamJobReportsStepperSolves(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+
+	req := streamReq(6)
+	req.SubSteps = 3
+	in, err := e.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitDone(t, e, in.ID); got.State != StateDone {
+		t.Fatalf("job: state %s, error %q", got.State, got.Error)
+	}
+	st := e.Metrics().Solver["ichol"]
+	if st == nil {
+		t.Fatal("no ichol bucket in the solver metrics")
+	}
+	if st.Solves != 6*3 {
+		t.Errorf("ichol solves %d, want intervals × sub_steps = %d", st.Solves, 6*3)
+	}
+	if st.Iterations == 0 || st.MaxIterations == 0 {
+		t.Errorf("ichol bucket carries no iterations: %+v", st)
+	}
+}

@@ -3,6 +3,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"waterimm/internal/parallel"
 )
@@ -14,10 +15,10 @@ import (
 // magnitude and carries the physics of the paper's immersion
 // comparison, is represented exactly on every level. Lumped extra
 // nodes (board, heatsink, periphery) exist only on the finest level:
-// their prolongation rows are empty, so they drop out of the Galerkin
-// coarse operators and are handled additively by the fine-level
-// smoother's Jacobi term, which is exact-enough for a handful of
-// strongly ambient-tied scalars.
+// their prolongation rows are empty, their columns are skipped when
+// the coarse operators are built, and they are handled additively by
+// the fine-level smoother's Jacobi term, which is exact-enough for a
+// handful of strongly ambient-tied scalars.
 //
 // Smoothing is damped z-line relaxation: every in-plane cell's
 // vertical column (its diagonal plus the same-cell inter-layer
@@ -28,12 +29,20 @@ import (
 // (its eigenvalues hide below the vertical-dominated diagonal), while
 // the column solve absorbs the whole vertical stiffness.
 //
-// Coarse operators are Galerkin products A_{l+1} = Pᵀ·A_l·P with
-// cell-centered bilinear interpolation P, which keeps every level
-// symmetric positive definite. The cycle is symmetric (ν₁ = ν₂ line
-// sweeps with a symmetric M, exact dense Cholesky on the coarsest
-// level, restriction R = Pᵀ), so the V-cycle is a fixed SPD operator
-// and preconditioned CG theory applies unchanged.
+// Coarse operators are seven-point aggregations of the level below
+// (see coarsen): on a uniform stack they equal the operator Assemble
+// builds for the coarse grid, and every one is a symmetric, weakly
+// diagonally dominant M-matrix. Unlike the Galerkin product Pᵀ·A·P,
+// which grows each row to 34–57 entries and smears every vertical
+// coupling over a 3×3 neighbourhood the z-line smoother cannot see,
+// the seven-point form keeps vertical couplings same-cell and exact
+// and the coarse matVec as cheap per row as the fine one. Transfers
+// are cell-centered bilinear interpolation P and restriction R = Pᵀ.
+// The cycle is symmetric (ν₁ = ν₂ line sweeps with a symmetric M,
+// exact dense Cholesky on the coarsest level, R = Pᵀ), and the coarse
+// correction P·A_c⁻¹·Pᵀ is positive semi-definite for any SPD A_c, so
+// the V-cycle is a fixed SPD operator and preconditioned CG theory
+// applies unchanged.
 //
 // A Multigrid is built once per assembled System and cached on it, so
 // pooled systems in a SystemCache amortize the setup across every
@@ -160,8 +169,8 @@ func (m *Multigrid) Borrow() *Multigrid {
 	return nm
 }
 
-// RefreshedCopy rebuilds everything value-dependent — Galerkin coarse
-// operators, inverse diagonals, line-smoother factors, the dense
+// RefreshedCopy rebuilds everything value-dependent — the aggregated
+// coarse operators, inverse diagonals, line-smoother factors, the dense
 // coarsest factorization — from s, reusing the purely geometric
 // transfer operators and level structure of the receiver. It is the
 // escape hatch of stale-preconditioner reuse: when a perturbed
@@ -235,27 +244,18 @@ func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
 }
 
 // computeValues fills in everything value-dependent across the
-// hierarchy: the Galerkin chain, inverse diagonals, line-smoother
-// factors, the dense coarsest factorization, and each coarse level's
-// work vectors. Shared by the initial build and RefreshedCopy.
+// hierarchy: each coarse operator aggregated from the one below it,
+// inverse diagonals, line-smoother factors, the dense coarsest
+// factorization, and each coarse level's work vectors. Shared by the
+// initial build and RefreshedCopy.
 func (m *Multigrid) computeValues() error {
 	last := len(m.levels) - 1
 	for li := 0; li <= last; li++ {
 		l := m.levels[li]
 		if li > 0 {
-			prev := m.levels[li-1]
-			rowPtr, colIdx, val, diag, err := galerkin(prev, l.n)
-			if err != nil {
+			if err := l.coarsen(m.levels[li-1]); err != nil {
 				return err
 			}
-			inv := make([]float64, l.n)
-			for i, d := range diag {
-				if d <= 0 {
-					return fmt.Errorf("thermal: multigrid coarse level lost positive definiteness at node %d (%g)", i, d)
-				}
-				inv[i] = 1 / d
-			}
-			l.rowPtr, l.colIdx, l.val, l.inv = rowPtr, colIdx, val, inv
 			l.x, l.b, l.res = make([]float64, l.n), make([]float64, l.n), make([]float64, l.n)
 		}
 		if li < last {
@@ -454,71 +454,136 @@ func transposeCSR(a *csrMat) *csrMat {
 	return t
 }
 
-// galerkin computes A_c = Pᵀ·A·P for one level, returning the coarse
-// CSR (diagonal first in each row, matching Assemble's convention)
-// and the extracted diagonal. Rows are computed in parallel with a
-// per-chunk dense accumulator over coarse columns.
-func galerkin(l *mgLevel, coarseN int) (rowPtr, colIdx []int32, val, diag []float64, err error) {
-	r, p := l.restrict, l.prolong
-	cols := make([][]int32, coarseN)
-	vals := make([][]float64, coarseN)
-	parallel.For(coarseN, func(lo, hi int) {
-		acc := make([]float64, coarseN)
-		marker := make([]int32, coarseN)
-		for i := range marker {
-			marker[i] = -1
+// Slots of a seven-point coarse row, in the order coarsen writes them:
+// the diagonal first (Assemble's convention), then the neighbours in
+// ascending column order.
+const (
+	slotDiag  = iota
+	slotDown  // layer − 1, same cell
+	slotSouth // y − 1
+	slotWest  // x − 1
+	slotEast  // x + 1
+	slotNorth // y + 1
+	slotUp    // layer + 1, same cell
+	numSlots
+)
+
+// coarsen builds l's operator from the next finer level f by
+// aggregation: each coarse row sums the fine rows of its ≤4 in-plane
+// children in the same layer into the seven-point stencil. A fine
+// coupling between two children of one coarse cell lands on the
+// diagonal; one between children of neighbouring cells lands in that
+// neighbour's slot. Summing gets a lateral face's length right but not
+// its centre-to-centre distance, which doubles across a coarsened axis,
+// so those slots are halved and the removed half moves onto the
+// diagonal. Row sums, and with them the coupling to ambient, are
+// unchanged, and on a uniform stack the result is what Assemble
+// produces for the coarse grid. Vertical couplings and ambient ties
+// scale with cell area and are summed as they are. Columns of the
+// finest level's lumped extras are skipped: their couplings already
+// sit on the children's diagonals, so every coarse row stays weakly
+// diagonally dominant.
+//
+// Rows are independent and each is summed in a fixed order, so the
+// parallel build is deterministic at any GOMAXPROCS.
+func (l *mgLevel) coarsen(f *mgLevel) error {
+	nx, ny, layers := l.nx, l.ny, l.layers
+	nc, fnc := nx*ny, f.nx*f.ny
+	fgrid := f.layers * fnc
+	halveX, halveY := nx != f.nx, ny != f.ny
+	parent := func(i int, halve bool) int {
+		if halve {
+			return i / 2
 		}
-		touched := make([]int32, 0, 64)
-		for ic := lo; ic < hi; ic++ {
-			touched = touched[:0]
-			for rk := r.rowPtr[ic]; rk < r.rowPtr[ic+1]; rk++ {
-				kf := r.colIdx[rk]
-				rv := r.val[rk]
-				for ak := l.rowPtr[kf]; ak < l.rowPtr[kf+1]; ak++ {
-					mf := l.colIdx[ak]
-					rav := rv * l.val[ak]
-					for pk := p.rowPtr[mf]; pk < p.rowPtr[mf+1]; pk++ {
-						jc := p.colIdx[pk]
-						if marker[jc] != int32(ic) {
-							marker[jc] = int32(ic)
-							acc[jc] = 0
-							touched = append(touched, jc)
+		return i
+	}
+	children := func(c, fn int, halve bool) (lo, hi int) {
+		if halve {
+			return 2 * c, min(2*c+2, fn)
+		}
+		return c, c + 1
+	}
+	// The pattern is geometric: a slot is stored iff its neighbour
+	// exists.
+	offset := [numSlots]int{0, -nc, -nx, -1, 1, nx, nc}
+	present := func(r int) [numSlots]bool {
+		lay, j, i := r/nc, r%nc/nx, r%nx
+		return [numSlots]bool{true, lay > 0, j > 0, i > 0, i < nx-1, j < ny-1, lay < layers-1}
+	}
+	rowPtr := make([]int32, l.n+1)
+	for r := 0; r < l.n; r++ {
+		rowPtr[r+1] = rowPtr[r]
+		for _, ok := range present(r) {
+			if ok {
+				rowPtr[r+1]++
+			}
+		}
+	}
+	colIdx := make([]int32, rowPtr[l.n])
+	val := make([]float64, rowPtr[l.n])
+	inv := make([]float64, l.n)
+
+	var bad atomic.Int64
+	bad.Store(-1)
+	parallel.For(l.n, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			lay, cj, ci := r/nc, r%nc/nx, r%nx
+			has := present(r)
+			var s [numSlots]float64
+			jlo, jhi := children(cj, f.ny, halveY)
+			ilo, ihi := children(ci, f.nx, halveX)
+			for j := jlo; j < jhi; j++ {
+				for i := ilo; i < ihi; i++ {
+					fr := lay*fnc + j*f.nx + i
+				entries:
+					for k := f.rowPtr[fr]; k < f.rowPtr[fr+1]; k++ {
+						fc := int(f.colIdx[k])
+						if fc >= fgrid {
+							continue // a lumped extra
 						}
-						acc[jc] += rav * p.val[pk]
+						// The coarse cell holding fc, matched against the
+						// stored slots (offsets of absent slots may alias
+						// present ones on a one-cell-wide axis).
+						cc := fc/fnc*nc + parent(fc%fnc/f.nx, halveY)*nx + parent(fc%f.nx, halveX)
+						for slot, off := range offset {
+							if has[slot] && cc == r+off {
+								s[slot] += f.val[k]
+								continue entries
+							}
+						}
+						bad.CompareAndSwap(-1, int64(fr))
+						return
 					}
 				}
 			}
-			// Diagonal first, then off-diagonals in touch order.
-			row := make([]int32, 0, len(touched))
-			rv := make([]float64, 0, len(touched))
-			row = append(row, int32(ic))
-			rv = append(rv, acc[ic])
-			for _, jc := range touched {
-				if jc != int32(ic) {
-					row = append(row, jc)
-					rv = append(rv, acc[jc])
+			if halveX {
+				s[slotWest], s[slotEast] = s[slotWest]*0.5, s[slotEast]*0.5
+				s[slotDiag] += s[slotWest] + s[slotEast]
+			}
+			if halveY {
+				s[slotSouth], s[slotNorth] = s[slotSouth]*0.5, s[slotNorth]*0.5
+				s[slotDiag] += s[slotSouth] + s[slotNorth]
+			}
+			k := rowPtr[r]
+			for slot, ok := range has {
+				if ok {
+					colIdx[k], val[k] = int32(r+offset[slot]), s[slot]
+					k++
 				}
 			}
-			cols[ic] = row
-			vals[ic] = rv
+			inv[r] = 1 / s[slotDiag]
 		}
 	})
-	nnz := 0
-	for _, c := range cols {
-		nnz += len(c)
+	if r := bad.Load(); r >= 0 {
+		return fmt.Errorf("thermal: multigrid fine row %d couples outside the seven-point stencil", r)
 	}
-	rowPtr = make([]int32, coarseN+1)
-	colIdx = make([]int32, 0, nnz)
-	val = make([]float64, 0, nnz)
-	diag = make([]float64, coarseN)
-	for ic := 0; ic < coarseN; ic++ {
-		rowPtr[ic] = int32(len(colIdx))
-		colIdx = append(colIdx, cols[ic]...)
-		val = append(val, vals[ic]...)
-		diag[ic] = vals[ic][0]
+	for r := 0; r < l.n; r++ {
+		if d := val[rowPtr[r]]; !(d > 0) {
+			return fmt.Errorf("thermal: multigrid coarse level lost positive definiteness at node %d (%g)", r, d)
+		}
 	}
-	rowPtr[coarseN] = int32(len(colIdx))
-	return rowPtr, colIdx, val, diag, nil
+	l.rowPtr, l.colIdx, l.val, l.inv = rowPtr, colIdx, val, inv
+	return nil
 }
 
 // matVec computes dst = A_l·x over this level's CSR.

@@ -200,3 +200,129 @@ func TestMultigridTransientCompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCoarseOperatorIsRediscretization pins the coarse operators to
+// physics: on a uniform stack, level 1 of a 32×32 hierarchy is the
+// matrix Assemble builds for the same stack at 16×16 — same pattern,
+// bit-equal couplings, diagonals equal to rounding. On every level of
+// every hierarchy (lumped extras, odd and semicoarsened dimensions)
+// each coarse row has at most seven entries, the operator is exactly
+// symmetric, and a coarse row sums to its children's fine row sums
+// over grid columns, so no coupling to ambient is gained or lost.
+func TestCoarseOperatorIsRediscretization(t *testing.T) {
+	fine, err := Assemble(mgStack(32, 32, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := fine.Multigrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coarse, err := Assemble(mgStack(16, 16, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1 := mg.levels[1]
+	if l1.n != coarse.N {
+		t.Fatalf("level 1 has %d nodes, the 16×16 assembly %d", l1.n, coarse.N)
+	}
+	for r := 0; r < coarse.N; r++ {
+		got := rowMap(l1.rowPtr, l1.colIdx, l1.val, r)
+		want := rowMap(coarse.RowPtr, coarse.ColIdx, coarse.Val, r)
+		if len(got) != len(want) {
+			t.Fatalf("row %d: %d entries, assembly has %d", r, len(got), len(want))
+		}
+		for c, w := range want {
+			g, ok := got[c]
+			switch {
+			case !ok:
+				t.Fatalf("row %d: column %d missing", r, c)
+			case c == r && math.Abs(g-w) > 1e-14*w:
+				t.Fatalf("row %d: diagonal %.17g, assembly %.17g", r, g, w)
+			case c != r && g != w:
+				t.Fatalf("row %d col %d: %.17g, assembly %.17g", r, c, g, w)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		nx, ny int
+	}{{"square", 32, 32}, {"odd", 20, 13}, {"skewed", 8, 96}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := Assemble(mgStack(tc.nx, tc.ny, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mg, err := sys.Multigrid()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mg.Levels() < 3 {
+				t.Fatalf("only %d levels", mg.Levels())
+			}
+			for li := 1; li < mg.Levels(); li++ {
+				checkCoarseLevel(t, li, mg.levels[li-1], mg.levels[li])
+			}
+		})
+	}
+}
+
+// rowMap returns row r of a CSR matrix keyed by column.
+func rowMap(rowPtr, colIdx []int32, val []float64, r int) map[int]float64 {
+	m := make(map[int]float64)
+	for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
+		m[int(colIdx[k])] += val[k]
+	}
+	return m
+}
+
+// checkCoarseLevel asserts the seven-point, symmetry and row-sum
+// invariants of level li (c) against the level below it (f).
+func checkCoarseLevel(t *testing.T, li int, f, c *mgLevel) {
+	t.Helper()
+	fnc, nc := f.nx*f.ny, c.nx*c.ny
+	fgrid := f.layers * fnc
+	// Children per coarse cell along each axis.
+	sx, sy := 1, 1
+	if f.nx != c.nx {
+		sx = 2
+	}
+	if f.ny != c.ny {
+		sy = 2
+	}
+	for r := 0; r < c.n; r++ {
+		if cnt := c.rowPtr[r+1] - c.rowPtr[r]; cnt > 7 {
+			t.Fatalf("level %d row %d: %d entries", li, r, cnt)
+		}
+		if int(c.colIdx[c.rowPtr[r]]) != r {
+			t.Fatalf("level %d row %d: diagonal not stored first", li, r)
+		}
+		var sum float64
+		for k := c.rowPtr[r]; k < c.rowPtr[r+1]; k++ {
+			sum += c.val[k]
+			col := int(c.colIdx[k])
+			if back := rowMap(c.rowPtr, c.colIdx, c.val, col)[r]; back != c.val[k] {
+				t.Fatalf("level %d: A[%d,%d] = %g but A[%d,%d] = %g", li, r, col, c.val[k], col, r, back)
+			}
+		}
+		// The children's fine row sums over grid columns, and the
+		// magnitude the rounding error scales with.
+		lay, cj, ci := r/nc, r%nc/c.nx, r%c.nx
+		var want, scale float64
+		for j := cj * sy; j < min(cj*sy+sy, f.ny); j++ {
+			for i := ci * sx; i < min(ci*sx+sx, f.nx); i++ {
+				fr := lay*fnc + j*f.nx + i
+				for k := f.rowPtr[fr]; k < f.rowPtr[fr+1]; k++ {
+					if int(f.colIdx[k]) < fgrid {
+						want += f.val[k]
+						scale += math.Abs(f.val[k])
+					}
+				}
+			}
+		}
+		if math.Abs(sum-want) > 1e-13*scale {
+			t.Fatalf("level %d row %d: row sum %.17g, children's %.17g", li, r, sum, want)
+		}
+	}
+}

@@ -261,13 +261,17 @@ func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 		}
 		return sum
 	}))
-	if rn == 0 {
-		record(0)
-		return x, nil
-	}
 	ref := rn
 	if opt.TolRef > 0 {
 		ref = opt.TolRef
+	}
+	// Convergence is tested before every preconditioner apply, so a
+	// solve that converges (or starts converged: a zero residual, or a
+	// warm start already within target) never computes a z it would
+	// throw away — the apply is the dominant cost of an MG iteration.
+	if rn <= opt.Tol*ref {
+		record(0)
+		return x, nil
 	}
 	// precondDot computes z = M⁻¹·r and returns r·z. The Jacobi path
 	// fuses both into one sweep; an explicit preconditioner (multigrid)
@@ -290,10 +294,6 @@ func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 	rz := precondDot()
 	copy(p, z)
 	for iter := 0; ; iter++ {
-		if rn <= opt.Tol*ref {
-			record(iter)
-			return x, nil
-		}
 		if iter >= opt.MaxIter {
 			record(iter)
 			return nil, fmt.Errorf("thermal: CG did not converge in %d iterations (residual %.3e, target %.3e)",
@@ -330,6 +330,10 @@ func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 			}
 			return sum
 		}))
+		if rn <= opt.Tol*ref {
+			record(iter + 1)
+			return x, nil
+		}
 		rzNew := precondDot()
 		beta := rzNew / rz
 		rz = rzNew

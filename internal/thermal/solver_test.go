@@ -401,3 +401,51 @@ func TestTolRefKeepsWarmStartsHonest(t *testing.T) {
 		t.Fatal("relative criterion unexpectedly accepted the warm start in 3 iterations; TolRef would be redundant")
 	}
 }
+
+// countingPrecond wraps a preconditioner and counts its applies.
+type countingPrecond struct {
+	Preconditioner
+	applies int
+}
+
+func (c *countingPrecond) Apply(z, r []float64) {
+	c.applies++
+	c.Preconditioner.Apply(z, r)
+}
+
+// TestCGConvergesBeforePreconditioning pins the order of CG's
+// convergence test: it runs before every preconditioner apply, so a
+// solve of k iterations applies the preconditioner exactly k times and
+// a guess that already meets the target applies it not at all.
+func TestCGConvergesBeforePreconditioning(t *testing.T) {
+	sys, err := Assemble(mgStack(32, 32, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := sys.Multigrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := &countingPrecond{Preconditioner: mg}
+	var stats SolveStats
+	x, err := sys.SolveSteady(SolveOptions{Precond: cp, Stats: &stats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Iterations == 0 || cp.applies != stats.Iterations {
+		t.Errorf("cold solve: %d applies for %d iterations", cp.applies, stats.Iterations)
+	}
+	if stats.Preconditioner != PrecondMG {
+		t.Errorf("wrapper reported %q", stats.Preconditioner)
+	}
+
+	cp.applies = 0
+	if _, err := sys.SolveSteady(SolveOptions{
+		Precond: cp, Stats: &stats, Guess: x, TolRef: sys.ColdStartResidual(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Iterations != 0 || cp.applies != 0 {
+		t.Errorf("converged guess: %d applies for %d iterations, want 0 and 0", cp.applies, stats.Iterations)
+	}
+}

@@ -37,6 +37,9 @@ type Stepper struct {
 	// between steps but must not resize it.
 	T    []float64
 	time float64
+	// OnSolve, when non-nil, observes every step's CG solve (its
+	// iteration count, preconditioner "ichol") after it converges.
+	OnSolve func(SolveStats)
 }
 
 // NewStepper creates a transient integrator over an assembled system
@@ -110,11 +113,15 @@ func (st *Stepper) Step(ctx context.Context) error {
 	for i := range st.shifted.Q {
 		st.shifted.Q[i] = st.sys.Q[i] + st.sys.Capacity[i]/st.dt*st.T[i]
 	}
+	var stats SolveStats
 	t, err := st.shifted.solveCG(SolveOptions{
-		Ctx: ctx, Guess: st.T, Tol: 1e-6, TolRef: st.sys.ColdStartResidual(), Precond: st.prec,
+		Ctx: ctx, Guess: st.T, Tol: 1e-6, TolRef: st.sys.ColdStartResidual(), Precond: st.prec, Stats: &stats,
 	}, st.ws)
 	if err != nil {
 		return fmt.Errorf("thermal: transient step at t=%.4gs: %w", st.time, err)
+	}
+	if st.OnSolve != nil {
+		st.OnSolve(stats)
 	}
 	copy(st.T, t)
 	st.time += st.dt
