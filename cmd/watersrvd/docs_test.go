@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -86,9 +87,30 @@ func TestOperationsDocCoversSurface(t *testing.T) {
 	if len(metrics) < 15 {
 		t.Fatalf("metric scrape found only %v — regexp out of date?", metrics)
 	}
+	// Every metric also needs a unit: its row of the "Metrics
+	// reference" table (| Field | Unit | Meaning |) must fill the Unit
+	// cell.
+	_, ref, ok := strings.Cut(string(doc), "## Metrics reference")
+	if !ok {
+		t.Fatal(`OPERATIONS.md has no "## Metrics reference" section`)
+	}
+	ref, _, _ = strings.Cut(ref, "\n## ")
+	fieldRE := regexp.MustCompile("`([a-z_]+)`")
+	units := map[string]string{}
+	for _, line := range strings.Split(ref, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 5 {
+			continue
+		}
+		for _, f := range fieldRE.FindAllStringSubmatch(cells[1], -1) {
+			units[f[1]] = strings.TrimSpace(cells[2])
+		}
+	}
 	for _, m := range metrics {
 		if !regexp.MustCompile("`" + m + "`").Match(doc) {
 			t.Errorf("metric %q is not documented in OPERATIONS.md", m)
+		} else if units[m] == "" {
+			t.Errorf("metric %q has no unit in the OPERATIONS.md metrics reference table", m)
 		}
 	}
 

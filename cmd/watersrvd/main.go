@@ -100,7 +100,6 @@ var (
 	flagJobDeadline  = flag.Duration("job-deadline", 5*time.Minute, "per-job wall-clock budget, queue wait included (0 = unlimited)")
 	flagMaxQueueWait = flag.Duration("max-queue-wait", time.Minute, "queue-wait budget before load shedding kicks in (0 = never shed)")
 	flagFault        = flag.String("fault", "", "dev-only fault injection spec, e.g. 'thermal.cg.iteration=stall:delay=2s' (see internal/faultinject)")
-	flagNoStructural = flag.Bool("no-structural-reuse", false, "disable the per-geometry structural cache (symbolic assembly reuse and stale-preconditioner borrowing for perturbed Monte-Carlo cells); A/B benchmarking only")
 	flagCHFScale     = flag.Float64("chf-scale", 1, "multiplier on every critical-heat-flux limit: <1 audits against a safety margin, >1 models surface-enhanced boiling (1 = literature correlations)")
 )
 
@@ -135,9 +134,7 @@ func main() {
 		JobDeadline:  *flagJobDeadline,
 		MaxQueueWait: *flagMaxQueueWait,
 		DiskCache:    store,
-
-		DisableStructuralReuse: *flagNoStructural,
-		CHFScale:               *flagCHFScale,
+		CHFScale:     *flagCHFScale,
 	})
 	expvar.Publish("watersrvd", expvar.Func(func() any { return engine.Metrics() }))
 

@@ -130,26 +130,9 @@ func (r *PlanRequest) Kind() string { return "plan" }
 
 // Normalize implements Request.
 func (r *PlanRequest) Normalize() {
-	if r.Chip == "" {
-		r.Chip = "low-power"
-	}
-	if full, ok := chipAlias[r.Chip]; ok {
-		r.Chip = full
-	}
-	if r.Chips == 0 {
-		r.Chips = 1
-	}
-	if r.Coolant == "" {
-		r.Coolant = "water"
-	}
+	normStack(&r.Chip, "low-power", &r.Chips, &r.Coolant, &r.GridNX, &r.GridNY)
 	if r.ThresholdC == 0 {
 		r.ThresholdC = 80
-	}
-	if r.GridNX == 0 {
-		r.GridNX = 32
-	}
-	if r.GridNY == 0 {
-		r.GridNY = 32
 	}
 	if r.Perturb != nil {
 		if r.Perturb.empty() {
@@ -164,40 +147,17 @@ func (r *PlanRequest) Normalize() {
 
 // Validate implements Request.
 func (r *PlanRequest) Validate() error {
-	chip, err := power.ModelByName(r.Chip)
+	chip, err := validStack(r.Chip, r.Chips, r.Coolant, r.GridNX, r.GridNY)
+	if err == nil && r.EvalGHz != 0 {
+		err = vfsStep(chip, r.EvalGHz, "eval_ghz %.2f")
+	}
+	if err == nil && r.Perturb != nil {
+		err = r.Perturb.Validate()
+	}
+	if err == nil {
+		err = validTemp("threshold_c", r.ThresholdC)
+	}
 	if err != nil {
-		return fmt.Errorf("api: plan: %w", err)
-	}
-	if r.EvalGHz != 0 {
-		onStep := false
-		for _, s := range chip.Steps() {
-			if s.FHz == r.EvalGHz*1e9 {
-				onStep = true
-				break
-			}
-		}
-		if !onStep {
-			return fmt.Errorf("api: plan: eval_ghz %.2f is not a VFS step of %s", r.EvalGHz, chip.Name)
-		}
-	}
-	if r.Perturb != nil {
-		if err := r.Perturb.Validate(); err != nil {
-			return fmt.Errorf("api: plan: %w", err)
-		}
-	}
-	if _, err := material.ByName(r.Coolant); err != nil {
-		return fmt.Errorf("api: plan: %w", err)
-	}
-	if r.Chips < 1 || r.Chips > 32 {
-		return fmt.Errorf("api: plan: chips must be in [1, 32], got %d", r.Chips)
-	}
-	if r.ThresholdC <= 25 || r.ThresholdC > 200 {
-		return fmt.Errorf("api: plan: threshold_c must be in (25, 200], got %g", r.ThresholdC)
-	}
-	if err := validGrid(r.GridNX, r.GridNY); err != nil {
-		return fmt.Errorf("api: plan: %w", err)
-	}
-	if err := validGridLoad(r.GridNX, r.GridNY, r.Chips); err != nil {
 		return fmt.Errorf("api: plan: %w", err)
 	}
 	return nil
@@ -310,18 +270,7 @@ func (r *CosimRequest) Normalize() {
 	if r.Benchmark == "" {
 		r.Benchmark = "ep"
 	}
-	if r.Chip == "" {
-		r.Chip = "high-frequency"
-	}
-	if full, ok := chipAlias[r.Chip]; ok {
-		r.Chip = full
-	}
-	if r.Chips == 0 {
-		r.Chips = 1
-	}
-	if r.Coolant == "" {
-		r.Coolant = "water"
-	}
+	normStack(&r.Chip, "high-frequency", &r.Chips, &r.Coolant, &r.GridNX, &r.GridNY)
 	if r.GHz == 0 {
 		r.GHz = 3.6
 	}
@@ -336,12 +285,6 @@ func (r *CosimRequest) Normalize() {
 	}
 	if r.DVFSSetpointC > 0 && r.DVFSHysteresisC == 0 {
 		r.DVFSHysteresisC = 1
-	}
-	if r.GridNX == 0 {
-		r.GridNX = 32
-	}
-	if r.GridNY == 0 {
-		r.GridNY = 32
 	}
 	// Non-positive means "default": 0 is the zero value of an omitted
 	// field, and a negative cap is meaningless — before this clamp it
@@ -358,28 +301,15 @@ func (r *CosimRequest) Validate() error {
 	if _, err := npb.ByName(r.Benchmark); err != nil {
 		return fmt.Errorf("api: cosim: %w", err)
 	}
-	chip, err := power.ModelByName(r.Chip)
-	if err != nil {
-		return fmt.Errorf("api: cosim: %w", err)
-	}
 	// cosim.Run requires the frequency to land exactly on a VFS step
 	// (the governor walks the discrete table), so mirror that check
 	// here and fail at validation time rather than at run time.
-	onStep := false
-	for _, s := range chip.Steps() {
-		if s.FHz == r.GHz*1e9 {
-			onStep = true
-			break
-		}
+	chip, err := validStack(r.Chip, r.Chips, r.Coolant, r.GridNX, r.GridNY)
+	if err == nil {
+		err = vfsStep(chip, r.GHz, "%.2f GHz")
 	}
-	if !onStep {
-		return fmt.Errorf("api: cosim: %.2f GHz is not a VFS step of %s", r.GHz, chip.Name)
-	}
-	if _, err := material.ByName(r.Coolant); err != nil {
+	if err != nil {
 		return fmt.Errorf("api: cosim: %w", err)
-	}
-	if r.Chips < 1 || r.Chips > 32 {
-		return fmt.Errorf("api: cosim: chips must be in [1, 32], got %d", r.Chips)
 	}
 	if r.Scale <= 0 || r.Scale > 10 {
 		return fmt.Errorf("api: cosim: scale must be in (0, 10], got %g", r.Scale)
@@ -396,12 +326,6 @@ func (r *CosimRequest) Validate() error {
 	}
 	if r.DVFSSetpointC < 0 || r.DVFSHysteresisC < 0 {
 		return fmt.Errorf("api: cosim: negative DVFS parameters")
-	}
-	if err := validGrid(r.GridNX, r.GridNY); err != nil {
-		return fmt.Errorf("api: cosim: %w", err)
-	}
-	if err := validGridLoad(r.GridNX, r.GridNY, r.Chips); err != nil {
-		return fmt.Errorf("api: cosim: %w", err)
 	}
 	if r.MaxSamples < 1 || r.MaxSamples > 100_000 {
 		return fmt.Errorf("api: cosim: max_samples must be in [1, 100000], got %d", r.MaxSamples)
@@ -445,6 +369,79 @@ type CosimResponse struct {
 	Intervals int `json:"intervals"`
 	// Series is the (decimated) trace.
 	Series []CosimSample `json:"series,omitempty"`
+}
+
+// normStack fills the stack spec every single-stack request kind
+// shares: the chip (default def, aliases resolved), one chip, water
+// and a 32×32 grid.
+func normStack(chip *string, def string, chips *int, coolant *string, nx, ny *int) {
+	if *chip == "" {
+		*chip = def
+	}
+	if full, ok := chipAlias[*chip]; ok {
+		*chip = full
+	}
+	if *chips == 0 {
+		*chips = 1
+	}
+	if *coolant == "" {
+		*coolant = "water"
+	}
+	if *nx == 0 {
+		*nx = 32
+	}
+	if *ny == 0 {
+		*ny = 32
+	}
+}
+
+// validStack checks a normalized stack spec and returns its chip
+// model for the kind's VFS-step checks.
+func validStack(chip string, chips int, coolant string, nx, ny int) (power.Model, error) {
+	m, err := power.ModelByName(chip)
+	if err != nil {
+		return m, err
+	}
+	if _, err := material.ByName(coolant); err != nil {
+		return m, err
+	}
+	if chips < 1 || chips > 32 {
+		return m, fmt.Errorf("chips must be in [1, 32], got %d", chips)
+	}
+	if err := validGrid(nx, ny); err != nil {
+		return m, err
+	}
+	return m, validGridLoad(nx, ny, chips)
+}
+
+// vfsStep checks that ghz is exactly one of the chip's VFS steps;
+// what is the printf format naming the field in the error.
+func vfsStep(chip power.Model, ghz float64, what string) error {
+	for _, s := range chip.Steps() {
+		if s.FHz == ghz*1e9 {
+			return nil
+		}
+	}
+	return fmt.Errorf(what+" is not a VFS step of %s", ghz, chip.Name)
+}
+
+// topGHz returns the chip's top VFS step in GHz, or 0 for an unknown
+// chip (left for Validate to report).
+func topGHz(chip string) float64 {
+	if m, err := power.ModelByName(chip); err == nil {
+		if steps := m.Steps(); len(steps) > 0 {
+			return steps[len(steps)-1].FHz / 1e9
+		}
+	}
+	return 0
+}
+
+// validTemp checks a junction temperature limit.
+func validTemp(name string, c float64) error {
+	if c <= 25 || c > 200 {
+		return fmt.Errorf("%s must be in (25, 200], got %g", name, c)
+	}
+	return nil
 }
 
 func validGrid(nx, ny int) error {

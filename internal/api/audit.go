@@ -85,6 +85,16 @@ func canonicalNames(names []string, alias map[string]string) []string {
 	return out
 }
 
+// coolantNames lists every coolant, the default coolant axis of
+// sweeps and audits.
+func coolantNames() []string {
+	var names []string
+	for _, c := range material.Coolants() {
+		names = append(names, c.Name)
+	}
+	return names
+}
+
 // Normalize implements Request.
 func (r *AuditRequest) Normalize() {
 	if len(r.Chips) == 0 {
@@ -92,9 +102,7 @@ func (r *AuditRequest) Normalize() {
 	}
 	r.Chips = canonicalNames(r.Chips, chipAlias)
 	if len(r.Coolants) == 0 {
-		for _, c := range material.Coolants() {
-			r.Coolants = append(r.Coolants, c.Name)
-		}
+		r.Coolants = coolantNames()
 	}
 	r.Coolants = canonicalNames(r.Coolants, nil)
 	if r.StartYear == 0 {
@@ -155,8 +163,8 @@ func (r *AuditRequest) Validate() error {
 		return fmt.Errorf("api: audit: growth %g compounds to a %g power scale by %d, outside [%g, %g]",
 			r.GrowthPerYear, endScale, r.EndYear, minScale, maxScale)
 	}
-	if r.ThresholdC <= 25 || r.ThresholdC > 200 {
-		return fmt.Errorf("api: audit: threshold_c must be in (25, 200], got %g", r.ThresholdC)
+	if err := validTemp("threshold_c", r.ThresholdC); err != nil {
+		return fmt.Errorf("api: audit: %w", err)
 	}
 	if err := validGrid(r.GridNX, r.GridNY); err != nil {
 		return fmt.Errorf("api: audit: %w", err)
@@ -199,12 +207,7 @@ func (r *AuditRequest) YearScale(year int) float64 {
 func (r *AuditRequest) Cells() []*PlanRequest {
 	cells := make([]*PlanRequest, 0, r.TotalCells())
 	for _, chipName := range r.Chips {
-		evalGHz := 0.0
-		if chip, err := power.ModelByName(chipName); err == nil {
-			if steps := chip.Steps(); len(steps) > 0 {
-				evalGHz = steps[len(steps)-1].FHz / 1e9
-			}
-		}
+		evalGHz := topGHz(chipName)
 		for _, coolant := range r.Coolants {
 			for year := r.StartYear; year <= r.EndYear; year++ {
 				scale := r.YearScale(year)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"waterimm/internal/material"
 	"waterimm/internal/mc"
-	"waterimm/internal/power"
 )
 
 // MaxMonteCarloCells caps the expansion of a montecarlo request. The
@@ -156,36 +154,14 @@ func (r *MonteCarloRequest) Kind() string { return "montecarlo" }
 
 // Normalize implements Request.
 func (r *MonteCarloRequest) Normalize() {
-	if r.Chip == "" {
-		r.Chip = "low-power"
-	}
-	if full, ok := chipAlias[r.Chip]; ok {
-		r.Chip = full
-	}
-	if r.Chips == 0 {
-		r.Chips = 1
-	}
-	if r.Coolant == "" {
-		r.Coolant = "water"
-	}
+	normStack(&r.Chip, "low-power", &r.Chips, &r.Coolant, &r.GridNX, &r.GridNY)
 	if r.ThresholdC == 0 {
 		r.ThresholdC = 80
 	}
-	if r.GridNX == 0 {
-		r.GridNX = 32
-	}
-	if r.GridNY == 0 {
-		r.GridNY = 32
-	}
 	if r.EvalGHz == 0 {
 		// Default to the chip's top VFS step — the worst case, and
-		// the step the paper's max-frequency claims are about. An
-		// unknown chip is left for Validate to report.
-		if chip, err := power.ModelByName(r.Chip); err == nil {
-			if steps := chip.Steps(); len(steps) > 0 {
-				r.EvalGHz = steps[len(steps)-1].FHz / 1e9
-			}
-		}
+		// the step the paper's max-frequency claims are about.
+		r.EvalGHz = topGHz(r.Chip)
 	}
 	if r.ExceedC == 0 {
 		r.ExceedC = r.ThresholdC
@@ -200,37 +176,18 @@ func (r *MonteCarloRequest) Normalize() {
 
 // Validate implements Request.
 func (r *MonteCarloRequest) Validate() error {
-	chip, err := power.ModelByName(r.Chip)
+	chip, err := validStack(r.Chip, r.Chips, r.Coolant, r.GridNX, r.GridNY)
+	if err == nil {
+		err = validTemp("threshold_c", r.ThresholdC)
+	}
+	if err == nil {
+		err = vfsStep(chip, r.EvalGHz, "eval_ghz %.2f")
+	}
+	if err == nil {
+		err = validTemp("exceed_c", r.ExceedC)
+	}
 	if err != nil {
 		return fmt.Errorf("api: montecarlo: %w", err)
-	}
-	if _, err := material.ByName(r.Coolant); err != nil {
-		return fmt.Errorf("api: montecarlo: %w", err)
-	}
-	if r.Chips < 1 || r.Chips > 32 {
-		return fmt.Errorf("api: montecarlo: chips must be in [1, 32], got %d", r.Chips)
-	}
-	if r.ThresholdC <= 25 || r.ThresholdC > 200 {
-		return fmt.Errorf("api: montecarlo: threshold_c must be in (25, 200], got %g", r.ThresholdC)
-	}
-	if err := validGrid(r.GridNX, r.GridNY); err != nil {
-		return fmt.Errorf("api: montecarlo: %w", err)
-	}
-	if err := validGridLoad(r.GridNX, r.GridNY, r.Chips); err != nil {
-		return fmt.Errorf("api: montecarlo: %w", err)
-	}
-	onStep := false
-	for _, s := range chip.Steps() {
-		if s.FHz == r.EvalGHz*1e9 {
-			onStep = true
-			break
-		}
-	}
-	if !onStep {
-		return fmt.Errorf("api: montecarlo: eval_ghz %.2f is not a VFS step of %s", r.EvalGHz, chip.Name)
-	}
-	if r.ExceedC <= 25 || r.ExceedC > 200 {
-		return fmt.Errorf("api: montecarlo: exceed_c must be in (25, 200], got %g", r.ExceedC)
 	}
 	if r.Samples < 8 || r.Samples > 2048 {
 		return fmt.Errorf("api: montecarlo: samples must be in [8, 2048], got %d", r.Samples)

@@ -1,11 +1,6 @@
 package api
 
-import (
-	"fmt"
-
-	"waterimm/internal/material"
-	"waterimm/internal/power"
-)
+import "fmt"
 
 // CosimStreamRequest asks for an interval-coupled co-simulation served
 // as a long-running streaming job (kind "cosimstream"): a utilisation
@@ -69,18 +64,7 @@ func (r *CosimStreamRequest) Kind() string { return "cosimstream" }
 
 // Normalize implements Request.
 func (r *CosimStreamRequest) Normalize() {
-	if r.Chip == "" {
-		r.Chip = "high-frequency"
-	}
-	if full, ok := chipAlias[r.Chip]; ok {
-		r.Chip = full
-	}
-	if r.Chips == 0 {
-		r.Chips = 1
-	}
-	if r.Coolant == "" {
-		r.Coolant = "water"
-	}
+	normStack(&r.Chip, "high-frequency", &r.Chips, &r.Coolant, &r.GridNX, &r.GridNY)
 	if r.GHz == 0 {
 		r.GHz = 3.6
 	}
@@ -96,12 +80,6 @@ func (r *CosimStreamRequest) Normalize() {
 	if r.DTMSetpointC > 0 && r.DTMHysteresisC == 0 {
 		r.DTMHysteresisC = 2
 	}
-	if r.GridNX == 0 {
-		r.GridNX = 32
-	}
-	if r.GridNY == 0 {
-		r.GridNY = 32
-	}
 	if r.CheckpointEvery <= 0 {
 		r.CheckpointEvery = 64
 	}
@@ -112,25 +90,12 @@ func (r *CosimStreamRequest) Normalize() {
 
 // Validate implements Request.
 func (r *CosimStreamRequest) Validate() error {
-	chip, err := power.ModelByName(r.Chip)
+	chip, err := validStack(r.Chip, r.Chips, r.Coolant, r.GridNX, r.GridNY)
+	if err == nil {
+		err = vfsStep(chip, r.GHz, "%.2f GHz")
+	}
 	if err != nil {
 		return fmt.Errorf("api: cosimstream: %w", err)
-	}
-	onStep := false
-	for _, s := range chip.Steps() {
-		if s.FHz == r.GHz*1e9 {
-			onStep = true
-			break
-		}
-	}
-	if !onStep {
-		return fmt.Errorf("api: cosimstream: %.2f GHz is not a VFS step of %s", r.GHz, chip.Name)
-	}
-	if _, err := material.ByName(r.Coolant); err != nil {
-		return fmt.Errorf("api: cosimstream: %w", err)
-	}
-	if r.Chips < 1 || r.Chips > 32 {
-		return fmt.Errorf("api: cosimstream: chips must be in [1, 32], got %d", r.Chips)
 	}
 	if r.IntervalS <= 0 || r.IntervalS > 1 {
 		return fmt.Errorf("api: cosimstream: interval_s must be in (0, 1], got %g", r.IntervalS)
@@ -157,12 +122,6 @@ func (r *CosimStreamRequest) Validate() error {
 	}
 	if r.DTMHysteresisC < 0 {
 		return fmt.Errorf("api: cosimstream: negative dtm_hysteresis_c")
-	}
-	if err := validGrid(r.GridNX, r.GridNY); err != nil {
-		return fmt.Errorf("api: cosimstream: %w", err)
-	}
-	if err := validGridLoad(r.GridNX, r.GridNY, r.Chips); err != nil {
-		return fmt.Errorf("api: cosimstream: %w", err)
 	}
 	if r.CheckpointEvery < 1 || r.CheckpointEvery > 100_000 {
 		return fmt.Errorf("api: cosimstream: checkpoint_every must be in [1, 100000], got %d", r.CheckpointEvery)

@@ -2,7 +2,7 @@ package api
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"waterimm/internal/material"
 	"waterimm/internal/power"
@@ -50,26 +50,21 @@ func (r *SweepRequest) Normalize() {
 	if len(r.Chips) == 0 {
 		r.Chips = []string{"low-power"}
 	}
-	for i, c := range r.Chips {
-		if full, ok := chipAlias[c]; ok {
-			r.Chips[i] = full
-		}
-	}
-	r.Chips = dedupeStrings(r.Chips)
+	r.Chips = canonicalNames(r.Chips, chipAlias)
 	if len(r.Depths) == 0 {
 		r.Depths = []int{1, 2, 3, 4, 5, 6, 7, 8}
 	}
-	r.Depths = dedupeInts(r.Depths)
+	slices.Sort(r.Depths)
+	r.Depths = slices.Compact(r.Depths)
 	if len(r.Coolants) == 0 {
-		for _, c := range material.Coolants() {
-			r.Coolants = append(r.Coolants, c.Name)
-		}
+		r.Coolants = coolantNames()
 	}
-	r.Coolants = dedupeStrings(r.Coolants)
+	r.Coolants = canonicalNames(r.Coolants, nil)
 	if len(r.ThresholdsC) == 0 {
 		r.ThresholdsC = []float64{80}
 	}
-	r.ThresholdsC = dedupeFloats(r.ThresholdsC)
+	slices.Sort(r.ThresholdsC)
+	r.ThresholdsC = slices.Compact(r.ThresholdsC)
 	if r.GridNX == 0 {
 		r.GridNX = 32
 	}
@@ -100,8 +95,8 @@ func (r *SweepRequest) Validate() error {
 		}
 	}
 	for _, t := range r.ThresholdsC {
-		if t <= 25 || t > 200 {
-			return fmt.Errorf("api: sweep: thresholds_c must be in (25, 200], got %g", t)
+		if err := validTemp("thresholds_c", t); err != nil {
+			return fmt.Errorf("api: sweep: %w", err)
 		}
 	}
 	cells := len(r.Chips) * len(r.Depths) * len(r.Coolants) * len(r.ThresholdsC)
@@ -198,37 +193,4 @@ type SweepProgress struct {
 	TotalCells  int `json:"total_cells"`
 	DoneCells   int `json:"done_cells"`
 	CachedCells int `json:"cached_cells"`
-}
-
-func dedupeStrings(in []string) []string {
-	sort.Strings(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupeInts(in []int) []int {
-	sort.Ints(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupeFloats(in []float64) []float64 {
-	sort.Float64s(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

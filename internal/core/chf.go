@@ -8,7 +8,6 @@ import (
 	"waterimm/internal/material"
 	"waterimm/internal/mcpat"
 	"waterimm/internal/power"
-	"waterimm/internal/stack"
 	"waterimm/internal/thermal"
 )
 
@@ -34,8 +33,7 @@ func (p *Planner) PeakPowerDensity(chip power.Model, fHz float64) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	dynamicW := step.DynamicW * p.dynScale()
-	staticW := chip.StaticAt(step, p.leakTemp(chip)) * p.statScale()
+	dynamicW, staticW := p.powerAt(chip, step, p.leakTemp(chip))
 	if err := mcpat.AssignParts(f, chip, dynamicW, staticW); err != nil {
 		return 0, err
 	}
@@ -83,25 +81,7 @@ func (p *Planner) TwoPhasePeak(ctx context.Context, chip power.Model, chips int,
 	if err != nil {
 		return nil, err
 	}
-	base, err := floorplan.ForModel(chip.Name)
-	if err != nil {
-		return nil, err
-	}
-	dynamicW := step.DynamicW * p.dynScale()
-	staticW := chip.StaticAt(step, p.leakTemp(chip)) * p.statScale()
-	if err := mcpat.AssignParts(base, chip, dynamicW, staticW); err != nil {
-		return nil, err
-	}
-	flipped := base.Rotate180()
-	dies := make([]*floorplan.Floorplan, chips)
-	for i := range dies {
-		if p.Flip && i%2 == 1 {
-			dies[i] = flipped
-		} else {
-			dies[i] = base
-		}
-	}
-	model, err := stack.Build(stack.Config{Params: p.Params, Coolant: coolant, Dies: dies})
+	model, err := p.modelAt(chip, chips, coolant, step, p.leakTemp(chip))
 	if err != nil {
 		return nil, err
 	}

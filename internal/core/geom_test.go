@@ -77,9 +77,10 @@ func TestPerturbedSkipsSystemPool(t *testing.T) {
 // TestPerturbedBorrowsAndRefreshes walks the stale-preconditioner
 // lifecycle end to end: EnsureGeomRef seeds the geometry's nominal
 // reference, a perturbed session borrows its hierarchy and basis, and
-// (with the guard forced hot via a negative RefreshFactor) the first
-// borrowed solve triggers a value refresh — with every field matching
-// an independent solve throughout.
+// a perturbation at the edge of the API's window (die_k ×20) drives
+// the first borrowed solve past the default guard (2× the nominal
+// baseline plus 4), which refreshes the hierarchy's values — with
+// every field matching an independent solve throughout.
 func TestPerturbedBorrowsAndRefreshes(t *testing.T) {
 	g := NewGeomCache(8)
 	ctx := context.Background()
@@ -94,9 +95,15 @@ func TestPerturbedBorrowsAndRefreshes(t *testing.T) {
 		t.Fatalf("seeding the reference counted as a borrow: %+v", st)
 	}
 
-	pp := perturbedPlanner(g)
-	pp.Precond = thermal.PrecondMG
-	pp.RefreshFactor = -1 // refresh after the first borrowed solve
+	stiffDie := func(g *GeomCache) *Planner {
+		p := fastPlanner()
+		p.Geoms, p.Perturbed, p.Precond = g, true, thermal.PrecondMG
+		p.Params.DieK *= 20
+		return p
+	}
+	pp := stiffDie(g)
+	var iters []int
+	pp.OnSolve = func(st thermal.SolveStats) { iters = append(iters, st.Iterations) }
 	sp, err := pp.NewSession(power.LowPower, 2, material.Water)
 	if err != nil {
 		t.Fatal(err)
@@ -107,12 +114,27 @@ func TestPerturbedBorrowsAndRefreshes(t *testing.T) {
 	if sp.refBasisFields() == nil {
 		t.Fatal("perturbed session did not borrow the nominal basis")
 	}
+	limit := 2*sp.refIters + 4
 	peak, err := sp.Peak(ctx, 1.2e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.borrowed != nil {
-		t.Fatal("forced guard did not refresh the borrowed hierarchy")
+		t.Fatalf("die_k ×20 did not trip the default guard (limit %d, iterations %v)", limit, iters)
+	}
+	// The refreshed hierarchy must bring later solves (the basis
+	// build and the verification solve) back under the limit.
+	if _, err := sp.Peak(ctx, 1.2e9); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("iterations %v, limit %d", iters, limit)
+	if len(iters) < 2 || iters[0] <= limit {
+		t.Fatalf("want a first solve over the limit %d, got %v", limit, iters)
+	}
+	for _, n := range iters[1:] {
+		if n > limit {
+			t.Errorf("solve after the refresh took %d iterations, over the limit %d (all: %v)", n, limit, iters)
+		}
 	}
 	sp.Close()
 	st := g.Stats()
@@ -121,9 +143,7 @@ func TestPerturbedBorrowsAndRefreshes(t *testing.T) {
 	}
 
 	// The structural path changes iteration counts, never results.
-	solo := perturbedPlanner(nil)
-	solo.Precond = thermal.PrecondMG
-	ss, err := solo.NewSession(power.LowPower, 2, material.Water)
+	ss, err := stiffDie(nil).NewSession(power.LowPower, 2, material.Water)
 	if err != nil {
 		t.Fatal(err)
 	}

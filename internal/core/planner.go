@@ -56,8 +56,7 @@ type Planner struct {
 	// DynScale and StatScale scale the chip's dynamic and static
 	// power everywhere the planner assigns it (0 means nominal, i.e.
 	// 1.0) — the montecarlo workload's power-model uncertainty knobs.
-	// Both the superposition basis and the cold-start baseline apply
-	// them at their power choke points, so scaled sessions stay
+	// Every power split goes through powerAt, so scaled sessions stay
 	// exactly as consistent as nominal ones.
 	DynScale  float64
 	StatScale float64
@@ -73,41 +72,21 @@ type Planner struct {
 	// basis warm starts) instead of building everything themselves.
 	// Seed the reference with EnsureGeomRef on a nominal planner.
 	Perturbed bool
-	// RefreshFactor tunes the stale-preconditioner iteration guard: a
-	// borrowed hierarchy is value-refreshed when a solve exceeds
-	// RefreshFactor × the nominal reference's baseline iteration count
-	// (plus a small floor). 0 means the default 2.0; negative
-	// refreshes after any borrowed solve (tests only).
-	RefreshFactor float64
 }
 
-// refreshLimit is the iteration count above which a borrowed stale
-// hierarchy gets its values refreshed. refIters is the nominal
-// reference's baseline; 0 (no baseline yet) disables the guard.
-func (p *Planner) refreshLimit(refIters int) int {
-	f := p.RefreshFactor
-	if f == 0 {
-		f = 2
-	}
-	if f < 0 {
-		return 0
-	}
-	return int(f*float64(refIters)) + 4
-}
-
-// dynScale and statScale resolve the 0-means-nominal convention.
-func (p *Planner) dynScale() float64 {
+// powerAt is the chip-wide dynamic/static power split at one VFS step
+// and leakage temperature, under the planner's power scales (0 means
+// nominal): the superposition basis, the warm and cold solves, the
+// two-phase re-solve and the hotspot check all split power here.
+func (p *Planner) powerAt(chip power.Model, step power.Step, leakC float64) (dynW, statW float64) {
+	dynW, statW = step.DynamicW, chip.StaticAt(step, leakC)
 	if p.DynScale > 0 {
-		return p.DynScale
+		dynW *= p.DynScale
 	}
-	return 1
-}
-
-func (p *Planner) statScale() float64 {
 	if p.StatScale > 0 {
-		return p.StatScale
+		statW *= p.StatScale
 	}
-	return 1
+	return dynW, statW
 }
 
 // NewPlanner returns a Planner with Table 2 parameters and the

@@ -119,15 +119,7 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 	}
 	s.gkey = p.geomKey(chip, chips, coolant)
 	build := func() (*thermal.System, error) {
-		dies := make([]*floorplan.Floorplan, chips)
-		for i := range dies {
-			if p.Flip && i%2 == 1 {
-				dies[i] = s.flipped
-			} else {
-				dies[i] = base
-			}
-		}
-		model, err := stack.Build(stack.Config{Params: p.Params, Coolant: coolant, Dies: dies})
+		model, err := p.stackModel(coolant, chips, base, s.flipped)
 		if err != nil {
 			return nil, err
 		}
@@ -197,11 +189,12 @@ func (s *Session) runSteady(opt thermal.SolveOptions) ([]float64, error) {
 	}
 	t, err := s.sys.SolveSteady(opt)
 	if err == nil {
-		if iters := opt.Stats.Iterations; s.borrowed != nil && s.refIters > 0 && iters > s.p.refreshLimit(s.refIters) {
+		if iters := opt.Stats.Iterations; s.borrowed != nil && s.refIters > 0 && iters > 2*s.refIters+4 {
 			// The borrowed nominal values have drifted too far from
-			// this sample: refresh them under the shared structure.
-			// The field already converged — only future solves of
-			// this session get the better hierarchy.
+			// this sample (the solve took over twice the nominal
+			// baseline, plus a small floor): refresh them under the
+			// shared structure. The field already converged — only
+			// future solves of this session get the better hierarchy.
 			if fresh, rerr := s.borrowed.RefreshedCopy(s.sys); rerr == nil {
 				s.prec = fresh
 				s.borrowed = nil
@@ -271,10 +264,8 @@ func (s *Session) buildBasis(ctx context.Context) error {
 	// The planner's power scales fold into the reference magnitudes
 	// (and, symmetrically, into every step's coefficients in solveAt),
 	// so a scaled session's basis is as exact as a nominal one.
-	b := &sessionBasis{
-		refDyn:  ref.DynamicW * s.p.dynScale(),
-		refStat: s.chip.StaticAt(ref, s.p.leakTemp(s.chip)) * s.p.statScale(),
-	}
+	b := &sessionBasis{}
+	b.refDyn, b.refStat = s.p.powerAt(s.chip, ref, s.p.leakTemp(s.chip))
 	// One absolute residual target for all three basis solves: the
 	// cold-start residual of the reference step's full power. Without
 	// it the near-trivial base solve (whose own initial residual is
@@ -402,8 +393,7 @@ func (s *Session) solveAt(ctx context.Context, step power.Step, leakTemp float64
 	if s.p.ColdStart {
 		return s.coldSolveAt(ctx, step, leakTemp)
 	}
-	dynamicW := step.DynamicW * s.p.dynScale()
-	staticW := s.chip.StaticAt(step, leakTemp) * s.p.statScale()
+	dynamicW, staticW := s.p.powerAt(s.chip, step, leakTemp)
 	s.solves++
 	if s.basis == nil && s.solves >= 2 {
 		if err := s.buildBasis(ctx); err != nil {
@@ -455,27 +445,7 @@ func (s *Session) solveAt(ctx context.Context, step power.Step, leakTemp float64
 // as N independent plan requests would. Kept behind Planner.ColdStart
 // for benchmarks and the equivalence tests.
 func (s *Session) coldSolveAt(ctx context.Context, step power.Step, leakTemp float64) (*thermal.Result, error) {
-	base, err := floorplan.ForModel(s.chip.Name)
-	if err != nil {
-		return nil, err
-	}
-	// Assign the same scaled power split the warm path uses (with
-	// nominal scales this is exactly mcpat.ChipAt).
-	dynamicW := step.DynamicW * s.p.dynScale()
-	staticW := s.chip.StaticAt(step, leakTemp) * s.p.statScale()
-	if err := mcpat.AssignParts(base, s.chip, dynamicW, staticW); err != nil {
-		return nil, err
-	}
-	flipped := base.Rotate180()
-	dies := make([]*floorplan.Floorplan, s.chips)
-	for i := range dies {
-		if s.p.Flip && i%2 == 1 {
-			dies[i] = flipped
-		} else {
-			dies[i] = base
-		}
-	}
-	model, err := stack.Build(stack.Config{Params: s.p.Params, Coolant: s.coolant, Dies: dies})
+	model, err := s.p.modelAt(s.chip, s.chips, s.coolant, step, leakTemp)
 	if err != nil {
 		return nil, err
 	}
@@ -488,6 +458,35 @@ func (s *Session) coldSolveAt(ctx context.Context, step power.Step, leakTemp flo
 		s.p.OnSolve(stats)
 	}
 	return res, err
+}
+
+// stackModel builds the stack model of chips dies: base on every die,
+// or flipped on the odd ones under the planner's Flip layout. The dies
+// carry whatever power their floorplans were assigned.
+func (p *Planner) stackModel(coolant material.Coolant, chips int, base, flipped *floorplan.Floorplan) (*thermal.Model, error) {
+	dies := make([]*floorplan.Floorplan, chips)
+	for i := range dies {
+		if p.Flip && i%2 == 1 {
+			dies[i] = flipped
+		} else {
+			dies[i] = base
+		}
+	}
+	return stack.Build(stack.Config{Params: p.Params, Coolant: coolant, Dies: dies})
+}
+
+// modelAt builds a fresh stack model with every die's power assigned
+// at the given VFS step and leakage temperature.
+func (p *Planner) modelAt(chip power.Model, chips int, coolant material.Coolant, step power.Step, leakC float64) (*thermal.Model, error) {
+	base, err := floorplan.ForModel(chip.Name)
+	if err != nil {
+		return nil, err
+	}
+	dynamicW, staticW := p.powerAt(chip, step, leakC)
+	if err := mcpat.AssignParts(base, chip, dynamicW, staticW); err != nil {
+		return nil, err
+	}
+	return p.stackModel(coolant, chips, base, base.Rotate180())
 }
 
 // Solve simulates the session's stack at the given frequency,

@@ -100,10 +100,14 @@ func NewGeomCache(capacity int) *GeomCache {
 // samples of one geometry share the entry. Values that could change
 // the sparsity pattern anyway (a coefficient crossing zero) are
 // caught by the structure's own tape guard, which falls back to full
-// assembly.
+// assembly. The key must cover every field the service's nominal
+// planner (stackPlanner) sets from the request, flip included: the
+// nominal reference's basis is built under that layout, and a
+// reference shared across layouts would make borrowers' results
+// depend on which layout seeded it first.
 func (p *Planner) geomKey(chip power.Model, chips int, coolant material.Coolant) string {
-	return fmt.Sprintf("v1|chip=%s|chips=%d|coolant=%s|grid=%dx%d",
-		chip.Name, chips, coolant.Name, p.Params.GridNX, p.Params.GridNY)
+	return fmt.Sprintf("v1|chip=%s|chips=%d|coolant=%s|grid=%dx%d|flip=%t",
+		chip.Name, chips, coolant.Name, p.Params.GridNX, p.Params.GridNY, p.Flip)
 }
 
 // entryLocked returns the geometry's entry, creating it and evicting

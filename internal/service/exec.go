@@ -37,39 +37,21 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 	if err != nil {
 		return nil, err
 	}
-	p := core.NewPlanner()
-	p.ThresholdC = r.ThresholdC
-	p.Flip = r.Flip
-	p.ConvergeLeakage = r.ConvergeLeakage
-	p.Params.GridNX, p.Params.GridNY = r.GridNX, r.GridNY
-	// The engine-wide CHF scale rides on the stack parameters so every
-	// built model carries the (possibly margin-adjusted) boiling
-	// limits; 0 means the literature value.
-	p.Params.CHFScale = e.cfg.CHFScale
-	// The engine-wide assembly cache: concurrent jobs over the same
-	// geometry (sweep cells differing only in threshold, repeated
-	// requests) share the assembled conductance system.
-	p.Cache = e.sysCache
-	// The structural cache rides alongside: perturbed Monte-Carlo
-	// cells reuse the geometry's sparsity skeleton and borrow its
-	// reference multigrid hierarchy (nil when disabled by config).
-	p.Geoms = e.geoms
-	// Every CG solve reports its iteration count and preconditioner
-	// kind to /v1/metrics (observeSolve is lock-protected, so the
-	// concurrent sessions of a sweep can share the observer).
-	p.OnSolve = e.metrics.observeSolve
-	applyPerturb(p, &coolant, r.Perturb)
-	if p.Perturbed && e.geoms != nil {
+	if r.Perturb != nil {
 		// Seed the geometry's shared nominal reference (hierarchy +
 		// basis) before the perturbed cell solves: a one-time cost per
 		// geometry that every sample then borrows. Building it from
 		// nominal values — never from whichever sample got here first —
 		// keeps Monte-Carlo statistics bitwise reproducible under
 		// concurrent cell scheduling.
-		if err := e.ensureGeomRef(ctx, r, chip); err != nil {
+		if err := e.stackPlanner(r).EnsureGeomRef(ctx, chip, r.Chips, coolant); err != nil {
 			return nil, err
 		}
 	}
+	p := e.stackPlanner(r)
+	p.ThresholdC = r.ThresholdC
+	p.ConvergeLeakage = r.ConvergeLeakage
+	applyPerturb(p, &coolant, r.Perturb)
 
 	// EvalGHz asks for an extra fixed-step solve inside the same
 	// session: the peak temperature at that step comes back even when
@@ -181,29 +163,34 @@ func (e *Engine) resolveTwoPhase(ctx context.Context, p *core.Planner, chip powe
 	return nil
 }
 
-// ensureGeomRef seeds the structural cache's nominal reference for a
-// perturbed request's geometry: a nominal planner (same grid and flip,
-// unperturbed values, default leakage policy) builds the hierarchy and
-// superposition basis exactly once per geometry; concurrent cells
-// coalesce on the build. The nominal planner shares the engine's
-// system pool, so its assembled system is the same one nominal plan
-// requests hit.
-func (e *Engine) ensureGeomRef(ctx context.Context, r *api.PlanRequest, chip power.Model) error {
-	coolant, err := material.ByName(r.Coolant)
-	if err != nil {
-		return err
-	}
+// stackPlanner returns the nominal planner of a plan request's stack:
+// its flip layout and grid, the engine-wide CHF scale, system pool,
+// structural cache and solve observer — everything but the threshold,
+// leakage policy and perturbation. It is both the base of runPlan's
+// planner and the planner that seeds a perturbed geometry's nominal
+// reference, so the two cannot drift apart; core's geomKey must cover
+// every request field set here.
+func (e *Engine) stackPlanner(r *api.PlanRequest) *core.Planner {
 	p := core.NewPlanner()
 	p.Flip = r.Flip
 	p.Params.GridNX, p.Params.GridNY = r.GridNX, r.GridNY
-	// Match the perturbed planners' stack identity: the nominal
-	// reference must live under the same CHF scale, or the pooled
-	// system and the cells' structural key would diverge.
+	// The engine-wide CHF scale rides on the stack parameters so every
+	// built model carries the (possibly margin-adjusted) boiling
+	// limits; 0 means the literature value.
 	p.Params.CHFScale = e.cfg.CHFScale
+	// The engine-wide assembly cache: concurrent jobs over the same
+	// geometry (sweep cells differing only in threshold, repeated
+	// requests) share the assembled conductance system.
 	p.Cache = e.sysCache
+	// The structural cache rides alongside: perturbed Monte-Carlo
+	// cells reuse the geometry's sparsity skeleton and borrow its
+	// reference multigrid hierarchy (nil when disabled by config).
 	p.Geoms = e.geoms
+	// Every CG solve reports its iteration count and preconditioner
+	// kind to /v1/metrics (observeSolve is lock-protected, so the
+	// concurrent sessions of a sweep can share the observer).
 	p.OnSolve = e.metrics.observeSolve
-	return p.EnsureGeomRef(ctx, chip, r.Chips, coolant)
+	return p
 }
 
 // applyPerturb lands a Monte-Carlo sample cell's perturbation vector

@@ -311,8 +311,8 @@ type Snapshot struct {
 	Assembly thermal.CacheStats `json:"assembly"`
 
 	// Structural-reuse counters (the Monte-Carlo fast path; all zero
-	// when -no-structural-reuse). GeomEntries gauges distinct cached
-	// geometry topologies. AssemblySymbolicHits counts assemblies that
+	// under Config.DisableStructuralReuse). GeomEntries gauges distinct
+	// cached geometry topologies. AssemblySymbolicHits counts assemblies that
 	// reused a cached sparsity pattern and only recomputed values;
 	// AssemblySymbolicMisses counts full symbolic assemblies (one
 	// seeds each geometry). PrecondReused counts perturbed solves that

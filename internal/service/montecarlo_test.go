@@ -319,3 +319,45 @@ func BenchmarkMonteCarloIndependent(b *testing.B) {
 		}
 	}
 }
+
+// The nominal reference a perturbed geometry borrows is built under the
+// request's flip layout, so it must be keyed by that layout too. Keyed
+// without it, an engine that ran a flipped job first handed the
+// flipped reference to later unflipped cells, and the same request's
+// statistics depended on which jobs the engine had run before.
+func TestMonteCarloReferenceKeyedByFlip(t *testing.T) {
+	req := func(flip bool) *api.MonteCarloRequest {
+		return &api.MonteCarloRequest{
+			Chip: "lp", Chips: 4, Coolant: "water", Flip: flip,
+			GridNX: 48, GridNY: 48, Samples: 8, Seed: 3,
+			Params: map[string]mc.Dist{
+				"die_k":     {Kind: "uniform", Min: 0.8, Max: 1.2},
+				"ambient_c": {Kind: "uniform", Min: 20, Max: 35},
+			},
+		}
+	}
+	run := func(e *Engine, r *api.MonteCarloRequest) *api.MonteCarloResponse {
+		in, err := e.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := waitDone(t, e, in.ID)
+		if got.State != StateDone {
+			t.Fatalf("state %s, error %q", got.State, got.Error)
+		}
+		return got.Result.(*api.MonteCarloResponse)
+	}
+	a := New(Config{})
+	defer a.Close()
+	alone := run(a, req(false))
+
+	b := New(Config{})
+	defer b.Close()
+	run(b, req(true))
+	after := run(b, req(false))
+
+	if !reflect.DeepEqual(alone.EvalPeakC, after.EvalPeakC) || !reflect.DeepEqual(alone.FreqGHz, after.FreqGHz) {
+		t.Errorf("unflipped statistics depend on an earlier flipped job:\nalone %+v\nafter %+v",
+			alone.EvalPeakC, after.EvalPeakC)
+	}
+}

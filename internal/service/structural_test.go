@@ -38,7 +38,7 @@ func TestMonteCarloStructuralFastPath(t *testing.T) {
 	}
 }
 
-// TestStructuralReuseDisabledMatches: -no-structural-reuse is an A/B
+// TestStructuralReuseDisabledMatches: Config.DisableStructuralReuse is an A/B
 // switch, not a physics change — the same montecarlo request must
 // produce the same statistics (within solver tolerance; the fast path
 // only changes CG iteration paths) with the fast path on and off, and
