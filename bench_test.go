@@ -361,6 +361,27 @@ func BenchmarkVCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkMGKernels times the finest level's multigrid kernels one by
+// one — stencil matVec, restriction, bilinear prolongation, z-line
+// solve — and a whole V-cycle, at the montecarlo workload's shape
+// (64×64 grid, two low-power dies, water), so a change to one kernel
+// can cite its own number.
+func BenchmarkMGKernels(b *testing.B) {
+	sys := benchPrecondSystem(b, 64, 2)
+	mg, err := sys.Multigrid()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range mg.Kernels() {
+		b.Run(k.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.Run()
+			}
+			b.ReportMetric(float64(sys.N), "nodes")
+		})
+	}
+}
+
 // BenchmarkSolveSteady times the default (Jacobi) cold solve on a
 // 4-chip stack — the reference for the fused-kernel CG change: fewer
 // memory sweeps per iteration show up directly as ns/op per cg-iter.
@@ -423,7 +444,12 @@ func BenchmarkThermalMatVec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sys.MatVec(y, x)
 	}
-	b.SetBytes(int64(len(sys.Val) * 8))
+	// The stencil kernel streams the diagonal, the east/north/up
+	// couplings of every grid node, x and y; the extras' few entries
+	// are left out.
+	m := sys.Model()
+	grid := len(m.Layers) * m.Grid.Cells()
+	b.SetBytes(int64((3*sys.N + 3*grid) * 8))
 }
 
 func BenchmarkNoCRandomTraffic(b *testing.B) {

@@ -11,6 +11,10 @@ import (
 // path to ambient. Diagonal entries include the ambient conductances;
 // the ambient temperature contribution is folded into q, so the
 // solution is the absolute temperature field in °C.
+//
+// The CSR arrays are the assembly format; the matVec and multigrid run
+// on op, the seven-point stencil derived from them at assembly, whose
+// diagonal is Diag.
 type System struct {
 	N        int
 	RowPtr   []int32
@@ -20,10 +24,12 @@ type System struct {
 	Diag     []float64
 	Capacity []float64 // heat capacity per node (J/K), for transients
 	model    *Model
+	op       *stencil   // G as a seven-point stencil; nil only on hand-built systems
 	ambientG []float64  // conductance to ambient per node (W/K)
 	rowSum   []float64  // per-row sums of G, for ColdStartResidual
 	invDiag  []float64  // 1/Diag, built once at assembly for the CG preconditioner
 	mg       *Multigrid // lazily built multigrid hierarchy, cached with the system
+	cg       *cgWork    // CG scratch, reused across the owner's solves
 }
 
 // coo is a temporary triplet accumulator keyed by (row, col).
@@ -217,11 +223,15 @@ func Assemble(m *Model) (*System, error) {
 }
 
 // finishAssembly fills in everything downstream of the CSR matrix —
-// heat capacities, right-hand side, ambient bookkeeping, and the
-// inverted diagonal — shared by the full and structural assembly
-// paths so the two stay in lockstep.
+// the stencil, heat capacities, right-hand side, ambient bookkeeping,
+// and the inverted diagonal — shared by the full and structural
+// assembly paths so the two stay in lockstep.
 func (sys *System) finishAssembly(ambient []float64) error {
 	m := sys.model
+	var err error
+	if sys.op, err = newSystemStencil(sys); err != nil {
+		return err
+	}
 	g := m.Grid
 	nc := g.Cells()
 	cellArea := g.DX() * g.DY()
@@ -245,7 +255,6 @@ func (sys *System) finishAssembly(ambient []float64) error {
 	// Invert the diagonal once here instead of on every solve: warm
 	// sweeps re-solve a cached system hundreds of times, and the
 	// validation doubles as the disconnected-from-ambient check.
-	var err error
 	if sys.invDiag, err = invertDiag(sys.Diag); err != nil {
 		return err
 	}

@@ -75,7 +75,7 @@ func newIChol(s *System) (*ichol, error) {
 // own. s is symmetric, so A[k][i] stands in for A[i][k].
 func strictLower(s *System) *csrMat {
 	n := s.N
-	l := &csrMat{rows: n, cols: n, rowPtr: make([]int32, n+1)}
+	l := &csrMat{rowPtr: make([]int32, n+1)}
 	for r := 0; r < n; r++ {
 		for k := s.RowPtr[r]; k < s.RowPtr[r+1]; k++ {
 			if c := s.ColIdx[k]; int(c) > r {
@@ -119,6 +119,14 @@ func (ic *ichol) Apply(z, r []float64) {
 			z[l.colIdx[p]] -= l.val[p] * zi
 		}
 	}
+}
+
+// csrMat is a square sparse matrix in CSR form: the IC(0) factor's
+// strict lower triangle.
+type csrMat struct {
+	rowPtr []int32
+	colIdx []int32
+	val    []float64
 }
 
 // Name reports the preconditioner kind.

@@ -36,8 +36,12 @@ import (
 // which grows each row to 34–57 entries and smears every vertical
 // coupling over a 3×3 neighbourhood the z-line smoother cannot see,
 // the seven-point form keeps vertical couplings same-cell and exact
-// and the coarse matVec as cheap per row as the fine one. Transfers
-// are cell-centered bilinear interpolation P and restriction R = Pᵀ.
+// and the coarse matVec as cheap per row as the fine one. Every level,
+// the System's included, is stored and applied as a stencil; transfers
+// are cell-centered bilinear interpolation P and restriction R = Pᵀ,
+// applied from per-axis weight tables. Every kernel sums each row in
+// the order the CSR form it replaced did, so results are bit-identical
+// to CSR loops (TestStencilKernelsMatchCSR).
 // The cycle is symmetric (ν₁ = ν₂ line sweeps with a symmetric M,
 // exact dense Cholesky on the coarsest level, R = Pᵀ), and the coarse
 // correction P·A_c⁻¹·Pᵀ is positive semi-definite for any SPD A_c, so
@@ -62,18 +66,15 @@ type Multigrid struct {
 	smooths int
 }
 
-// mgLevel is one grid level: its operator in CSR form, the z-line
+// mgLevel is one grid level: its seven-point operator, the z-line
 // smoother factorization, the interpolation to/from the next coarser
 // level, and scratch vectors sized for this level. The finest level's
-// operator slices alias the System's.
+// operator is the System's.
 type mgLevel struct {
 	nx, ny, layers int
 	n              int // unknowns on this level (level 0 includes extras)
 
-	rowPtr []int32
-	colIdx []int32
-	val    []float64
-	inv    []float64 // 1/diag
+	op *stencil
 
 	// z-line smoother: LDLᵀ factors of each in-plane cell's vertical
 	// column (the diagonal plus the same-cell inter-layer couplings).
@@ -88,21 +89,11 @@ type mgLevel struct {
 	lineInvD []float64
 	lineC    []float64
 
-	// prolong maps the next coarser level's field up to this one;
-	// restrict is its transpose. Both nil on the coarsest level.
-	prolong  *csrMat
-	restrict *csrMat
+	// xfer maps the next coarser level's field up to this one and
+	// restricts back down; nil on the coarsest level.
+	xfer *transfer
 
 	x, b, res []float64
-}
-
-// csrMat is a rectangular sparse matrix (rows × cols) used for the
-// inter-grid transfer operators.
-type csrMat struct {
-	rows, cols int
-	rowPtr     []int32
-	colIdx     []int32
-	val        []float64
 }
 
 // mgCoarsestTarget stops coarsening once both in-plane dimensions are
@@ -138,8 +129,8 @@ func (m *Multigrid) Name() string { return PrecondMG }
 // Levels reports the hierarchy depth (including the finest level).
 func (m *Multigrid) Levels() int { return len(m.levels) }
 
-// Borrow returns a view of the hierarchy that shares every operator,
-// factor, and transfer array but owns private work buffers, so a
+// Borrow returns a view of the hierarchy that shares every stencil,
+// factor, and transfer table but owns private work buffers, so a
 // different exclusive owner may Apply it concurrently with the
 // original. Applied to a perturbed sibling system this is a *stale*
 // preconditioner — it carries the builder system's values — but it
@@ -170,9 +161,9 @@ func (m *Multigrid) Borrow() *Multigrid {
 }
 
 // RefreshedCopy rebuilds everything value-dependent — the aggregated
-// coarse operators, inverse diagonals, line-smoother factors, the dense
-// coarsest factorization — from s, reusing the purely geometric
-// transfer operators and level structure of the receiver. It is the
+// coarse stencils, line-smoother factors, the dense coarsest
+// factorization — from s, reusing the purely geometric transfer
+// tables and level structure of the receiver. It is the
 // escape hatch of stale-preconditioner reuse: when a perturbed
 // solve's iteration count shows the borrowed values have drifted too
 // far, the caller refreshes at a fraction of a full build. s must
@@ -181,24 +172,50 @@ func (m *Multigrid) RefreshedCopy(s *System) (*Multigrid, error) {
 	return buildMultigrid(s, m)
 }
 
+// Kernel is one multigrid kernel bound to its operands.
+type Kernel struct {
+	Name string
+	Run  func()
+}
+
+// Kernels binds the finest level's kernels — matVec, restriction,
+// prolongation, line solve — and one whole V-cycle to the hierarchy's
+// work buffers, so benchmarks can time each kernel on its own. The
+// line solve refreshes its input with a copy first, which keeps
+// repeated runs away from subnormal values. Running a kernel
+// overwrites the work buffers, so it is safe only where Apply is.
+func (m *Multigrid) Kernels() []Kernel {
+	l := m.levels[0]
+	x, r, z := make([]float64, l.n), make([]float64, l.n), make([]float64, l.n)
+	for i := range x {
+		x[i] = 1 + float64(i%97)/97
+		r[i] = float64(i%101) / 101
+	}
+	ks := []Kernel{{"matvec", func() { l.op.mul(l.res, x, nil) }}}
+	if len(m.levels) > 1 {
+		next := m.levels[1]
+		for i := range next.x {
+			next.x[i] = 1
+		}
+		ks = append(ks,
+			Kernel{"restrict", func() { l.xfer.restrict(next.b, r) }},
+			Kernel{"prolong", func() { l.xfer.prolongAdd(x, next.x) }},
+			Kernel{"linesolve", func() { copy(l.res, r); l.lineSolve(l.res) }},
+		)
+	}
+	return append(ks, Kernel{"vcycle", func() { m.Apply(z, r) }})
+}
+
 // buildMultigrid constructs the level structure (reusing the transfer
 // operators of `reuse` when given), then fills in the values.
 func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
-	mdl := s.model
-	if mdl == nil {
+	if s.model == nil || s.op == nil {
 		return nil, fmt.Errorf("thermal: multigrid needs the grid structure; system has no model")
 	}
-	layers := len(mdl.Layers)
-	if s.invDiag == nil {
-		var err error
-		if s.invDiag, err = invertDiag(s.Diag); err != nil {
-			return nil, err
-		}
-	}
+	a := s.op
 	fine := &mgLevel{
-		nx: mdl.Grid.NX, ny: mdl.Grid.NY, layers: layers, n: s.N,
-		rowPtr: s.RowPtr, colIdx: s.ColIdx, val: s.Val,
-		inv: s.invDiag,
+		nx: a.nx, ny: a.ny, layers: a.layers, n: s.N,
+		op:  a,
 		res: make([]float64, s.N),
 	}
 	mg := &Multigrid{levels: []*mgLevel{fine}, omega: 0.9, smooths: 1}
@@ -206,7 +223,7 @@ func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
 		return nil, fmt.Errorf("thermal: multigrid refresh against a different structure")
 	}
 
-	extras := len(mdl.Extras)
+	layers := a.layers
 	cur := fine
 	for cur.nx > mgCoarsestTarget || cur.ny > mgCoarsestTarget {
 		cnx, cny := coarseDim(cur.nx), coarseDim(cur.ny)
@@ -217,18 +234,15 @@ func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
 				return nil, fmt.Errorf("thermal: multigrid refresh structure mismatch at level %d", li)
 			}
 			tl, tn := reuse.levels[li], reuse.levels[li+1]
-			if tl.nx != cur.nx || tl.ny != cur.ny || tn.nx != cnx || tn.ny != cny || tn.n != coarseN || tl.prolong == nil {
+			if tl.nx != cur.nx || tl.ny != cur.ny || tn.nx != cnx || tn.ny != cny || tn.n != coarseN || tl.xfer == nil {
 				return nil, fmt.Errorf("thermal: multigrid refresh structure mismatch at level %d", li)
 			}
-			cur.prolong, cur.restrict = tl.prolong, tl.restrict
+			cur.xfer = tl.xfer
 		} else {
-			p := buildProlong(cur.nx, cur.ny, cnx, cny, layers, cur.n, extras)
-			cur.prolong = p
-			cur.restrict = transposeCSR(p)
+			cur.xfer = newTransfer(cur.nx, cur.ny, cnx, cny, layers)
 		}
 		next := &mgLevel{nx: cnx, ny: cny, layers: layers, n: coarseN}
 		mg.levels = append(mg.levels, next)
-		extras = 0 // extras exist only on the finest level
 		cur = next
 	}
 	if reuse != nil && len(reuse.levels) != len(mg.levels) {
@@ -245,9 +259,9 @@ func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
 
 // computeValues fills in everything value-dependent across the
 // hierarchy: each coarse operator aggregated from the one below it,
-// inverse diagonals, line-smoother factors, the dense coarsest
-// factorization, and each coarse level's work vectors. Shared by the
-// initial build and RefreshedCopy.
+// line-smoother factors, the dense coarsest factorization, and each
+// coarse level's work vectors. Shared by the initial build and
+// RefreshedCopy.
 func (m *Multigrid) computeValues() error {
 	last := len(m.levels) - 1
 	for li := 0; li <= last; li++ {
@@ -278,35 +292,35 @@ func (m *Multigrid) computeValues() error {
 // is diagonally dominant with a positive diagonal (it inherits both
 // from the SPD level operator), so the factorization cannot break
 // down on a well-posed system; the check guards hand-built matrices.
+// Columns are factored in parallel, so the first failing node any
+// worker finds is recorded atomically.
 func (l *mgLevel) buildLineSmoother() error {
 	nc := l.nx * l.ny
 	grid := l.layers * nc
+	diag, up := l.op.diag, l.op.up
 	l.lineInvD = make([]float64, l.n)
 	l.lineC = make([]float64, grid)
-	var bad error
+	var bad atomic.Int64
+	bad.Store(-1)
+	var badPivot atomic.Uint64
 	parallel.For(nc, func(lo, hi int) {
 		for cell := lo; cell < hi; cell++ {
 			var dhatPrev float64
 			for lay := 0; lay < l.layers; lay++ {
 				idx := lay*nc + cell
-				d := l.val[l.rowPtr[idx]] // diagonal stored first
+				d := diag[idx]
 				if lay > 0 {
-					// e couples (lay-1, cell) to (lay, cell): scan the
-					// previous row for the vertical neighbour.
+					// e couples (lay-1, cell) to (lay, cell).
 					prev := idx - nc
-					var e float64
-					for k := l.rowPtr[prev]; k < l.rowPtr[prev+1]; k++ {
-						if int(l.colIdx[k]) == idx {
-							e = l.val[k]
-							break
-						}
-					}
+					e := up[prev]
 					c := e / dhatPrev
 					l.lineC[prev] = c
 					d -= c * e
 				}
 				if d <= 0 {
-					bad = fmt.Errorf("thermal: multigrid line smoother pivot %g at node %d", d, idx)
+					if bad.CompareAndSwap(-1, int64(idx)) {
+						badPivot.Store(math.Float64bits(d))
+					}
 					return
 				}
 				l.lineInvD[idx] = 1 / d
@@ -314,34 +328,53 @@ func (l *mgLevel) buildLineSmoother() error {
 			}
 		}
 	})
+	if idx := bad.Load(); idx >= 0 {
+		return fmt.Errorf("thermal: multigrid line smoother pivot %g at node %d", math.Float64frombits(badPivot.Load()), idx)
+	}
 	// Lumped extras (fine level only) smooth by their plain diagonal —
 	// the additive Jacobi term for nodes outside every column.
 	for i := grid; i < l.n; i++ {
-		l.lineInvD[i] = l.inv[i]
+		if !(diag[i] > 0) {
+			return fmt.Errorf("thermal: non-positive diagonal at node %d (%g); model disconnected from ambient?", i, diag[i])
+		}
+		l.lineInvD[i] = 1 / diag[i]
 	}
-	return bad
+	return nil
 }
 
 // lineSolve overwrites z with M⁻¹·z, where M is the block-diagonal
-// matrix of per-column tridiagonals (plus the extras' diagonal).
+// matrix of per-column tridiagonals (plus the extras' diagonal). Each
+// worker sweeps its block of columns plane by plane, so every pass
+// runs over contiguous memory; each column sees the same operations
+// in the same order as a column-at-a-time solve.
 func (l *mgLevel) lineSolve(z []float64) {
 	nc := l.nx * l.ny
 	grid := l.layers * nc
 	layers := l.layers
 	invD, c := l.lineInvD, l.lineC
 	parallel.For(nc, func(lo, hi int) {
-		for cell := lo; cell < hi; cell++ {
-			// Forward substitution y = L⁻¹z, then diagonal scale.
-			for lay := 1; lay < layers; lay++ {
-				idx := lay*nc + cell
-				z[idx] -= c[idx-nc] * z[idx-nc]
+		// Forward substitution y = L⁻¹z, then diagonal scale.
+		for lay := 1; lay < layers; lay++ {
+			o := lay * nc
+			cur, below, cb := z[o+lo:o+hi], z[o-nc+lo:o-nc+hi], c[o-nc+lo:o-nc+hi]
+			below, cb = below[:len(cur)], cb[:len(cur)]
+			for k := range cur {
+				cur[k] -= cb[k] * below[k]
 			}
-			last := (layers-1)*nc + cell
-			z[last] *= invD[last]
-			// Back substitution with Lᵀ.
-			for lay := layers - 2; lay >= 0; lay-- {
-				idx := lay*nc + cell
-				z[idx] = z[idx]*invD[idx] - c[idx]*z[idx+nc]
+		}
+		o := (layers - 1) * nc
+		top, dt := z[o+lo:o+hi], invD[o+lo:o+hi]
+		dt = dt[:len(top)]
+		for k := range top {
+			top[k] *= dt[k]
+		}
+		// Back substitution with Lᵀ.
+		for lay := layers - 2; lay >= 0; lay-- {
+			o := lay * nc
+			cur, above, d, cc := z[o+lo:o+hi], z[o+nc+lo:o+nc+hi], invD[o+lo:o+hi], c[o+lo:o+hi]
+			above, d, cc = above[:len(cur)], d[:len(cur)], cc[:len(cur)]
+			for k := range cur {
+				cur[k] = cur[k]*d[k] - cc[k]*above[k]
 			}
 		}
 	})
@@ -383,90 +416,124 @@ func interp1D(i, coarseN int) (idx [2]int32, w [2]float64, cnt int) {
 	return [2]int32{int32(c0), int32(c1)}, [2]float64{w0, w1}, 2
 }
 
-// buildProlong assembles the prolongation matrix from a coarse level
-// (layers × cnx × cny) to a fine level of n unknowns, the trailing
-// `extras` of which are lumped nodes with no coarse representation
-// (empty rows). When a dimension is not coarsened the 1-D stencil
-// degenerates to identity.
-func buildProlong(nx, ny, cnx, cny, layers, n, extras int) *csrMat {
-	coarseCells := cnx * cny
-	p := &csrMat{rows: n, cols: layers * coarseCells}
-	p.rowPtr = make([]int32, n+1)
-	// Worst case 4 entries per grid row.
-	p.colIdx = make([]int32, 0, 4*(n-extras))
-	p.val = make([]float64, 0, 4*(n-extras))
-	ident := func(i int) ([2]int32, [2]float64, int) {
-		return [2]int32{int32(i)}, [2]float64{1}, 1
-	}
-	for l := 0; l < layers; l++ {
-		base := l * coarseCells
-		for j := 0; j < ny; j++ {
-			jIdx, jw, jn := interp1D(j, cny)
-			if cny == ny {
-				jIdx, jw, jn = ident(j)
-			}
-			for i := 0; i < nx; i++ {
-				iIdx, iw, in := interp1D(i, cnx)
-				if cnx == nx {
-					iIdx, iw, in = ident(i)
-				}
-				row := l*nx*ny + j*nx + i
-				for b := 0; b < jn; b++ {
-					for a := 0; a < in; a++ {
-						p.colIdx = append(p.colIdx, int32(base)+jIdx[b]*int32(cnx)+iIdx[a])
-						p.val = append(p.val, jw[b]*iw[a])
-					}
-				}
-				p.rowPtr[row+1] = int32(len(p.colIdx))
-			}
-		}
-	}
-	// Extra nodes: empty rows (rowPtr already points at the end).
-	for e := 0; e < extras; e++ {
-		p.rowPtr[n-extras+e+1] = int32(len(p.colIdx))
-	}
-	return p
+// transfer is the cell-centered bilinear interpolation P from a coarse
+// level (layers × cnx × cny) to a fine one (layers × nx × ny) and the
+// restriction R = Pᵀ, held as one table per axis: P's weight between
+// fine cell (i, j) and coarse cell (ci, cj) is the product of the two
+// axes' interp1D weights. Lumped extras have no coarse representation
+// (empty rows of P). A dimension that is not coarsened maps by
+// identity. Tables are padded to a fixed term count with zero weights
+// at valid indices, so the kernels run branch-free and the padding
+// adds nothing.
+type transfer struct {
+	nx, ny, cnx, cny, layers int
+	// px[i] / py[j]: the ≤2 coarse cells fine cell i / j draws from.
+	px, py []interpTerms
+	// rx[ci] / ry[cj]: the ≤4 fine cells drawing from coarse cell
+	// ci / cj, ascending.
+	rx, ry []gatherTerms
 }
 
-// transposeCSR builds the explicit transpose so restriction runs as a
-// parallel gather over coarse rows.
-func transposeCSR(a *csrMat) *csrMat {
-	t := &csrMat{rows: a.cols, cols: a.rows}
-	t.rowPtr = make([]int32, t.rows+1)
-	for _, c := range a.colIdx {
-		t.rowPtr[c+1]++
-	}
-	for i := 0; i < t.rows; i++ {
-		t.rowPtr[i+1] += t.rowPtr[i]
-	}
-	t.colIdx = make([]int32, len(a.colIdx))
-	t.val = make([]float64, len(a.val))
-	next := make([]int32, t.rows)
-	copy(next, t.rowPtr[:t.rows])
-	for r := 0; r < a.rows; r++ {
-		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
-			c := a.colIdx[k]
-			t.colIdx[next[c]] = int32(r)
-			t.val[next[c]] = a.val[k]
-			next[c]++
-		}
-	}
+type interpTerms struct {
+	idx [2]int32
+	w   [2]float64
+}
+
+type gatherTerms struct {
+	idx [4]int32
+	w   [4]float64
+}
+
+func newTransfer(nx, ny, cnx, cny, layers int) *transfer {
+	t := &transfer{nx: nx, ny: ny, cnx: cnx, cny: cny, layers: layers}
+	t.px, t.rx = axisTables(nx, cnx)
+	t.py, t.ry = axisTables(ny, cny)
 	return t
 }
 
-// Slots of a seven-point coarse row, in the order coarsen writes them:
-// the diagonal first (Assemble's convention), then the neighbours in
-// ascending column order.
-const (
-	slotDiag  = iota
-	slotDown  // layer − 1, same cell
-	slotSouth // y − 1
-	slotWest  // x − 1
-	slotEast  // x + 1
-	slotNorth // y + 1
-	slotUp    // layer + 1, same cell
-	numSlots
-)
+// axisTables builds one axis's prolongation and restriction terms.
+// Fine cells are visited in ascending order, so each coarse cell's
+// gather list comes out ascending.
+func axisTables(fn, cn int) ([]interpTerms, []gatherTerms) {
+	p := make([]interpTerms, fn)
+	r := make([]gatherTerms, cn)
+	cnt := make([]int, cn)
+	for f := 0; f < fn; f++ {
+		idx, w, n := [2]int32{int32(f)}, [2]float64{1}, 1
+		if cn != fn {
+			idx, w, n = interp1D(f, cn)
+		}
+		for k := 0; k < n; k++ {
+			c := idx[k]
+			g := &r[c]
+			g.idx[cnt[c]], g.w[cnt[c]] = int32(f), w[k]
+			cnt[c]++
+		}
+		for k := n; k < 2; k++ {
+			idx[k] = idx[0]
+		}
+		p[f] = interpTerms{idx: idx, w: w}
+	}
+	for c := range r {
+		for k := cnt[c]; k < 4; k++ {
+			r[c].idx[k] = r[c].idx[0]
+		}
+	}
+	return p, r
+}
+
+// prolongAdd computes x += P·xc over the fine grid nodes. Each fine
+// row sums P's terms in the order of the CSR row it replaces: the
+// j-axis term outer, the i-axis term inner.
+func (t *transfer) prolongAdd(x, xc []float64) {
+	nx, ny, cnx := t.nx, t.ny, t.cnx
+	cnc := cnx * t.cny
+	forLines(t.layers*nx*ny, nx, func(line int) {
+		lay, j := line/ny, line%ny
+		pj := t.py[j]
+		base := lay * cnc
+		c0 := xc[base+int(pj.idx[0])*cnx : base+int(pj.idx[0])*cnx+cnx]
+		c1 := xc[base+int(pj.idx[1])*cnx : base+int(pj.idx[1])*cnx+cnx]
+		wj0, wj1 := pj.w[0], pj.w[1]
+		out := x[line*nx : line*nx+nx]
+		px := t.px[:len(out)]
+		for i := range out {
+			pi := &px[i]
+			i0, i1 := pi.idx[0], pi.idx[1]
+			wi0, wi1 := pi.w[0], pi.w[1]
+			out[i] += (wj0*wi0)*c0[i0] + (wj0*wi1)*c0[i1] + (wj1*wi0)*c1[i0] + (wj1*wi1)*c1[i1]
+		}
+	})
+}
+
+// restrict computes bc = R·res = Pᵀ·res. Each coarse row sums its
+// terms in ascending fine index, the order of the CSR transpose it
+// replaces.
+func (t *transfer) restrict(bc, res []float64) {
+	nx, ny, cnx, cny := t.nx, t.ny, t.cnx, t.cny
+	fnc := nx * ny
+	forLines(t.layers*cnx*cny, cnx, func(line int) {
+		lay, cj := line/cny, line%cny
+		g := t.ry[cj]
+		base := lay * fnc
+		f0 := res[base+int(g.idx[0])*nx : base+int(g.idx[0])*nx+nx]
+		f1 := res[base+int(g.idx[1])*nx : base+int(g.idx[1])*nx+nx]
+		f2 := res[base+int(g.idx[2])*nx : base+int(g.idx[2])*nx+nx]
+		f3 := res[base+int(g.idx[3])*nx : base+int(g.idx[3])*nx+nx]
+		w := g.w
+		out := bc[line*cnx : line*cnx+cnx]
+		rx := t.rx[:len(out)]
+		for ci := range out {
+			gi := &rx[ci]
+			i0, i1, i2, i3 := gi.idx[0], gi.idx[1], gi.idx[2], gi.idx[3]
+			u := gi.w
+			out[ci] = (w[0]*u[0])*f0[i0] + (w[0]*u[1])*f0[i1] + (w[0]*u[2])*f0[i2] + (w[0]*u[3])*f0[i3] +
+				(w[1]*u[0])*f1[i0] + (w[1]*u[1])*f1[i1] + (w[1]*u[2])*f1[i2] + (w[1]*u[3])*f1[i3] +
+				(w[2]*u[0])*f2[i0] + (w[2]*u[1])*f2[i1] + (w[2]*u[2])*f2[i2] + (w[2]*u[3])*f2[i3] +
+				(w[3]*u[0])*f3[i0] + (w[3]*u[1])*f3[i1] + (w[3]*u[2])*f3[i2] + (w[3]*u[3])*f3[i3]
+		}
+	})
+}
 
 // coarsen builds l's operator from the next finer level f by
 // aggregation: each coarse row sums the fine rows of its ≤4 in-plane
@@ -479,139 +546,93 @@ const (
 // diagonal. Row sums, and with them the coupling to ambient, are
 // unchanged, and on a uniform stack the result is what Assemble
 // produces for the coarse grid. Vertical couplings and ambient ties
-// scale with cell area and are summed as they are. Columns of the
-// finest level's lumped extras are skipped: their couplings already
-// sit on the children's diagonals, so every coarse row stays weakly
-// diagonally dominant.
+// scale with cell area and are summed as they are. The finest level's
+// lumped extras are skipped: their couplings already sit on the
+// children's diagonals, so every coarse row stays weakly diagonally
+// dominant.
 //
-// Rows are independent and each is summed in a fixed order, so the
-// parallel build is deterministic at any GOMAXPROCS.
+// Each slot adds its children's terms child by child, diagonal before
+// S, W, E, N — the order in which both row orders of f list them — so
+// the result is the one a CSR walk over f produces. Rows are
+// independent, so the parallel build is deterministic at any
+// GOMAXPROCS, and the two rows of a coupling add the same terms in the
+// same order, so the operator is exactly symmetric.
 func (l *mgLevel) coarsen(f *mgLevel) error {
 	nx, ny, layers := l.nx, l.ny, l.layers
-	nc, fnc := nx*ny, f.nx*f.ny
-	fgrid := f.layers * fnc
+	nc, fnx, fnc := nx*ny, f.nx, f.nx*f.ny
 	halveX, halveY := nx != f.nx, ny != f.ny
-	parent := func(i int, halve bool) int {
-		if halve {
-			return i / 2
-		}
-		return i
-	}
 	children := func(c, fn int, halve bool) (lo, hi int) {
 		if halve {
 			return 2 * c, min(2*c+2, fn)
 		}
 		return c, c + 1
 	}
-	// The pattern is geometric: a slot is stored iff its neighbour
-	// exists.
-	offset := [numSlots]int{0, -nc, -nx, -1, 1, nx, nc}
-	present := func(r int) [numSlots]bool {
-		lay, j, i := r/nc, r%nc/nx, r%nx
-		return [numSlots]bool{true, lay > 0, j > 0, i > 0, i < nx-1, j < ny-1, lay < layers-1}
-	}
-	rowPtr := make([]int32, l.n+1)
-	for r := 0; r < l.n; r++ {
-		rowPtr[r+1] = rowPtr[r]
-		for _, ok := range present(r) {
-			if ok {
-				rowPtr[r+1]++
-			}
-		}
-	}
-	colIdx := make([]int32, rowPtr[l.n])
-	val := make([]float64, rowPtr[l.n])
-	inv := make([]float64, l.n)
-
-	var bad atomic.Int64
-	bad.Store(-1)
+	fo := f.op
+	op := newStencil(nx, ny, layers, l.n, true)
 	parallel.For(l.n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			lay, cj, ci := r/nc, r%nc/nx, r%nx
-			has := present(r)
-			var s [numSlots]float64
+			var diag, down, s, w, e, n, up float64
 			jlo, jhi := children(cj, f.ny, halveY)
 			ilo, ihi := children(ci, f.nx, halveX)
 			for j := jlo; j < jhi; j++ {
 				for i := ilo; i < ihi; i++ {
-					fr := lay*fnc + j*f.nx + i
-				entries:
-					for k := f.rowPtr[fr]; k < f.rowPtr[fr+1]; k++ {
-						fc := int(f.colIdx[k])
-						if fc >= fgrid {
-							continue // a lumped extra
+					fr := lay*fnc + j*fnx + i
+					diag += fo.diag[fr]
+					if j > 0 {
+						if v := fo.north[fr-fnx]; j-1 >= jlo {
+							diag += v
+						} else {
+							s += v
 						}
-						// The coarse cell holding fc, matched against the
-						// stored slots (offsets of absent slots may alias
-						// present ones on a one-cell-wide axis).
-						cc := fc/fnc*nc + parent(fc%fnc/f.nx, halveY)*nx + parent(fc%f.nx, halveX)
-						for slot, off := range offset {
-							if has[slot] && cc == r+off {
-								s[slot] += f.val[k]
-								continue entries
-							}
+					}
+					if i > 0 {
+						if v := fo.east[fr-1]; i-1 >= ilo {
+							diag += v
+						} else {
+							w += v
 						}
-						bad.CompareAndSwap(-1, int64(fr))
-						return
+					}
+					if i < fnx-1 {
+						if v := fo.east[fr]; i+1 < ihi {
+							diag += v
+						} else {
+							e += v
+						}
+					}
+					if j < f.ny-1 {
+						if v := fo.north[fr]; j+1 < jhi {
+							diag += v
+						} else {
+							n += v
+						}
+					}
+					if lay > 0 {
+						down += fo.up[fr-fnc]
+					}
+					if lay < layers-1 {
+						up += fo.up[fr]
 					}
 				}
 			}
 			if halveX {
-				s[slotWest], s[slotEast] = s[slotWest]*0.5, s[slotEast]*0.5
-				s[slotDiag] += s[slotWest] + s[slotEast]
+				w, e = w*0.5, e*0.5
+				diag += w + e
 			}
 			if halveY {
-				s[slotSouth], s[slotNorth] = s[slotSouth]*0.5, s[slotNorth]*0.5
-				s[slotDiag] += s[slotSouth] + s[slotNorth]
+				s, n = s*0.5, n*0.5
+				diag += s + n
 			}
-			k := rowPtr[r]
-			for slot, ok := range has {
-				if ok {
-					colIdx[k], val[k] = int32(r+offset[slot]), s[slot]
-					k++
-				}
-			}
-			inv[r] = 1 / s[slotDiag]
+			op.diag[r], op.east[r], op.north[r], op.up[r] = diag, e, n, up
 		}
 	})
-	if r := bad.Load(); r >= 0 {
-		return fmt.Errorf("thermal: multigrid fine row %d couples outside the seven-point stencil", r)
-	}
-	for r := 0; r < l.n; r++ {
-		if d := val[rowPtr[r]]; !(d > 0) {
+	for r, d := range op.diag {
+		if !(d > 0) {
 			return fmt.Errorf("thermal: multigrid coarse level lost positive definiteness at node %d (%g)", r, d)
 		}
 	}
-	l.rowPtr, l.colIdx, l.val, l.inv = rowPtr, colIdx, val, inv
+	l.op = op
 	return nil
-}
-
-// matVec computes dst = A_l·x over this level's CSR.
-func (l *mgLevel) matVec(dst, x []float64) {
-	rowPtr, colIdx, val := l.rowPtr, l.colIdx, l.val
-	parallel.For(l.n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var sum float64
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			dst[r] = sum
-		}
-	})
-}
-
-// mulCSR computes dst = M·x for a transfer operator.
-func (m *csrMat) mul(dst, x []float64) {
-	rowPtr, colIdx, val := m.rowPtr, m.colIdx, m.val
-	parallel.For(m.rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var sum float64
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			dst[r] = sum
-		}
-	})
 }
 
 // Apply runs one V-cycle on r with zero initial guess, writing the
@@ -643,26 +664,11 @@ func (m *Multigrid) vcycle(li int, x, b []float64) {
 		l.smooth(x, b, omega)
 	}
 	// Residual, restrict, recurse, correct.
-	l.matVec(l.res, x)
-	parallel.For(l.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			l.res[i] = b[i] - l.res[i]
-		}
-	})
+	l.op.mul(l.res, x, b)
 	next := m.levels[li+1]
-	l.restrict.mul(next.b, l.res)
+	l.xfer.restrict(next.b, l.res)
 	m.vcycle(li+1, next.x, next.b)
-	// x += P·xc, fused with the gather.
-	p, xc := l.prolong, next.x
-	parallel.For(l.n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var sum float64
-			for k := p.rowPtr[r]; k < p.rowPtr[r+1]; k++ {
-				sum += p.val[k] * xc[p.colIdx[k]]
-			}
-			x[r] += sum
-		}
-	})
+	l.xfer.prolongAdd(x, next.x)
 	for s := 0; s < m.smooths; s++ {
 		l.smooth(x, b, omega)
 	}
@@ -671,13 +677,8 @@ func (m *Multigrid) vcycle(li int, x, b []float64) {
 // smooth performs one damped z-line sweep x += ω·M⁻¹·(b − A·x),
 // using the level's residual buffer.
 func (l *mgLevel) smooth(x, b []float64, omega float64) {
-	l.matVec(l.res, x)
 	res := l.res
-	parallel.For(l.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			res[i] = b[i] - res[i]
-		}
-	})
+	l.op.mul(res, x, b)
 	l.lineSolve(res)
 	parallel.For(l.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -697,9 +698,19 @@ type denseChol struct {
 func newDenseChol(l *mgLevel) (*denseChol, error) {
 	n := l.n
 	a := make([]float64, n*n)
+	op := l.op
+	nx, nc := l.nx, l.nx*l.ny
+	set := func(r, c int, v float64) { a[r*n+c], a[c*n+r] = v, v }
 	for r := 0; r < n; r++ {
-		for k := l.rowPtr[r]; k < l.rowPtr[r+1]; k++ {
-			a[r*n+int(l.colIdx[k])] = l.val[k]
+		a[r*n+r] = op.diag[r]
+		if r%nx < nx-1 {
+			set(r, r+1, op.east[r])
+		}
+		if r%nc/nx < l.ny-1 {
+			set(r, r+nx, op.north[r])
+		}
+		if r/nc < l.layers-1 {
+			set(r, r+nc, op.up[r])
 		}
 	}
 	for j := 0; j < n; j++ {

@@ -222,9 +222,9 @@ func TestCoarseOperatorIsRediscretization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := mg.levels[1]
-	if l1.n != coarse.N {
-		t.Fatalf("level 1 has %d nodes, the 16×16 assembly %d", l1.n, coarse.N)
+	l1 := stencilCSR(mg.levels[1].op)
+	if l1.rows != coarse.N {
+		t.Fatalf("level 1 has %d nodes, the 16×16 assembly %d", l1.rows, coarse.N)
 	}
 	for r := 0; r < coarse.N; r++ {
 		got := rowMap(l1.rowPtr, l1.colIdx, l1.val, r)
@@ -279,19 +279,20 @@ func rowMap(rowPtr, colIdx []int32, val []float64, r int) map[int]float64 {
 
 // checkCoarseLevel asserts the seven-point, symmetry and row-sum
 // invariants of level li (c) against the level below it (f).
-func checkCoarseLevel(t *testing.T, li int, f, c *mgLevel) {
+func checkCoarseLevel(t *testing.T, li int, fl, cl *mgLevel) {
 	t.Helper()
-	fnc, nc := f.nx*f.ny, c.nx*c.ny
-	fgrid := f.layers * fnc
+	fnc, nc := fl.nx*fl.ny, cl.nx*cl.ny
+	fgrid := fl.layers * fnc
+	f, c := stencilCSR(fl.op), stencilCSR(cl.op)
 	// Children per coarse cell along each axis.
 	sx, sy := 1, 1
-	if f.nx != c.nx {
+	if fl.nx != cl.nx {
 		sx = 2
 	}
-	if f.ny != c.ny {
+	if fl.ny != cl.ny {
 		sy = 2
 	}
-	for r := 0; r < c.n; r++ {
+	for r := 0; r < c.rows; r++ {
 		if cnt := c.rowPtr[r+1] - c.rowPtr[r]; cnt > 7 {
 			t.Fatalf("level %d row %d: %d entries", li, r, cnt)
 		}
@@ -308,11 +309,11 @@ func checkCoarseLevel(t *testing.T, li int, f, c *mgLevel) {
 		}
 		// The children's fine row sums over grid columns, and the
 		// magnitude the rounding error scales with.
-		lay, cj, ci := r/nc, r%nc/c.nx, r%c.nx
+		lay, cj, ci := r/nc, r%nc/cl.nx, r%cl.nx
 		var want, scale float64
-		for j := cj * sy; j < min(cj*sy+sy, f.ny); j++ {
-			for i := ci * sx; i < min(ci*sx+sx, f.nx); i++ {
-				fr := lay*fnc + j*f.nx + i
+		for j := cj * sy; j < min(cj*sy+sy, fl.ny); j++ {
+			for i := ci * sx; i < min(ci*sx+sx, fl.nx); i++ {
+				fr := lay*fnc + j*fl.nx + i
 				for k := f.rowPtr[fr]; k < f.rowPtr[fr+1]; k++ {
 					if int(f.colIdx[k]) < fgrid {
 						want += f.val[k]

@@ -134,8 +134,8 @@ func TestRefreshedCopyMatchesFreshBuild(t *testing.T) {
 		t.Fatalf("refresh changed the hierarchy depth: %d vs %d", refreshed.Levels(), nomMG.Levels())
 	}
 	// The geometric transfers must be shared, not rebuilt.
-	if refreshed.levels[0].prolong != nomMG.levels[0].prolong {
-		t.Error("RefreshedCopy rebuilt the prolongation instead of sharing it")
+	if refreshed.levels[0].xfer != nomMG.levels[0].xfer {
+		t.Error("RefreshedCopy rebuilt the transfers instead of sharing them")
 	}
 	xRef, sRef := solveSys(t, perturbed, refreshed)
 

@@ -127,9 +127,15 @@ func (o SolveOptions) withDefaults(n int) SolveOptions {
 	return o
 }
 
-// MatVec computes y = G·x using the CSR structure, parallelised over
-// row bands. This is the solver's hot loop.
+// MatVec computes y = G·x on the system's stencil, parallelised over
+// grid lines. This is the solver's hot loop. Hand-built systems
+// without a stencil run the CSR loop, which sums every row in the same
+// order.
 func (s *System) MatVec(y, x []float64) {
+	if s.op != nil {
+		s.op.mul(y, x, nil)
+		return
+	}
 	rowPtr, colIdx, val := s.RowPtr, s.ColIdx, s.Val
 	parallel.For(s.N, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
@@ -190,29 +196,32 @@ func (s *System) ColdStartResidual() float64 {
 // unfused form needs — the iteration is memory-bound, so fewer sweeps
 // are a direct wall-clock win.
 func (s *System) SolveSteady(opt SolveOptions) ([]float64, error) {
-	return s.solveCG(opt, newCGWork(s.N))
-}
-
-// cgWork holds the five CG vectors. SolveSteady allocates a fresh one
-// per call because it hands x to the caller; the transient stepper
-// keeps one for its lifetime and copies x out after every step.
-type cgWork struct {
-	x, r, z, p, ap []float64
-}
-
-func newCGWork(n int) *cgWork {
-	return &cgWork{
-		x: make([]float64, n), r: make([]float64, n), z: make([]float64, n),
-		p: make([]float64, n), ap: make([]float64, n),
+	x := make([]float64, s.N)
+	if err := s.solveCG(opt, x); err != nil {
+		return nil, err
 	}
+	return x, nil
 }
 
-// solveCG is SolveSteady over a caller-owned workspace; the returned
-// field is ws.x.
-func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
+// cgWork holds CG's four scratch vectors. Each System keeps one for
+// its exclusive owner's solves: every vector is written in full before
+// it is read, so reuse cannot change a result.
+type cgWork struct {
+	r, z, p, ap []float64
+}
+
+// solveCG is SolveSteady into a caller-owned x (the transient stepper
+// keeps one for its lifetime). On error x holds a partial iterate.
+func (s *System) solveCG(opt SolveOptions, x []float64) error {
 	opt = opt.withDefaults(s.N)
 	n := s.N
-	x, r, z, p, ap := ws.x, ws.r, ws.z, ws.p, ws.ap
+	if s.cg == nil {
+		s.cg = &cgWork{
+			r: make([]float64, n), z: make([]float64, n),
+			p: make([]float64, n), ap: make([]float64, n),
+		}
+	}
+	r, z, p, ap := s.cg.r, s.cg.z, s.cg.p, s.cg.ap
 	if opt.Guess != nil && len(opt.Guess) == n {
 		copy(x, opt.Guess)
 	} else {
@@ -231,7 +240,7 @@ func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 	if invDiag == nil && opt.Precond == nil {
 		var err error
 		if invDiag, err = invertDiag(s.Diag); err != nil {
-			return nil, err
+			return err
 		}
 		s.invDiag = invDiag
 	}
@@ -271,7 +280,7 @@ func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 	// throw away — the apply is the dominant cost of an MG iteration.
 	if rn <= opt.Tol*ref {
 		record(0)
-		return x, nil
+		return nil
 	}
 	// precondDot computes z = M⁻¹·r and returns r·z. The Jacobi path
 	// fuses both into one sweep; an explicit preconditioner (multigrid)
@@ -296,26 +305,26 @@ func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 	for iter := 0; ; iter++ {
 		if iter >= opt.MaxIter {
 			record(iter)
-			return nil, fmt.Errorf("thermal: CG did not converge in %d iterations (residual %.3e, target %.3e)",
+			return fmt.Errorf("thermal: CG did not converge in %d iterations (residual %.3e, target %.3e)",
 				opt.MaxIter, rn, opt.Tol*ref)
 		}
 		if iter%8 == 0 {
 			if opt.Ctx != nil {
 				if err := opt.Ctx.Err(); err != nil {
-					return nil, fmt.Errorf("thermal: solve cancelled after %d iterations: %w", iter, err)
+					return fmt.Errorf("thermal: solve cancelled after %d iterations: %w", iter, err)
 				}
 			}
 			// Failpoint at the solver's poll cadence: an armed stall here
 			// simulates a wedged solve and must be cut short by the job
 			// deadline; an armed error aborts the iteration.
 			if err := faultinject.Hit(opt.Ctx, faultinject.SiteCGIteration); err != nil {
-				return nil, fmt.Errorf("thermal: solve aborted after %d iterations: %w", iter, err)
+				return fmt.Errorf("thermal: solve aborted after %d iterations: %w", iter, err)
 			}
 		}
 		s.MatVec(ap, p)
 		pap := dot(p, ap)
 		if pap <= 0 {
-			return nil, fmt.Errorf("thermal: CG breakdown (pᵀGp = %g); matrix not SPD", pap)
+			return fmt.Errorf("thermal: CG breakdown (pᵀGp = %g); matrix not SPD", pap)
 		}
 		alpha := rz / pap
 		// Fused update: x += α·p and r -= α·ap in the same pass as the
@@ -332,7 +341,7 @@ func (s *System) solveCG(opt SolveOptions, ws *cgWork) ([]float64, error) {
 		}))
 		if rn <= opt.Tol*ref {
 			record(iter + 1)
-			return x, nil
+			return nil
 		}
 		rzNew := precondDot()
 		beta := rzNew / rz

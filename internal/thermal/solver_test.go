@@ -449,3 +449,59 @@ func TestCGConvergesBeforePreconditioning(t *testing.T) {
 		t.Errorf("converged guess: %d applies for %d iterations, want 0 and 0", cp.applies, stats.Iterations)
 	}
 }
+
+// TestSolveSteadyReusesScratch: a System keeps its CG scratch across
+// solves, yet a solve on a system whose scratch holds an earlier
+// solve's vectors returns the same bits as one on a fresh system, and
+// never overwrites a field it returned before.
+func TestSolveSteadyReusesScratch(t *testing.T) {
+	for _, kind := range []string{PrecondJacobi, PrecondMG} {
+		t.Run(kind, func(t *testing.T) {
+			used, err := Assemble(mgStack(24, 20, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			prec, err := used.SelectPreconditioner(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := used.SolveSteady(SolveOptions{Precond: prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := append([]float64(nil), first...)
+			warm := make([]float64, used.N)
+			for i := range warm {
+				warm[i] = 60
+			}
+			var gotStats, wantStats SolveStats
+			got, err := used.SolveSteady(SolveOptions{Precond: prec, Guess: warm, Stats: &gotStats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Assemble(mgStack(24, 20, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fprec, err := fresh.SelectPreconditioner(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.SolveSteady(SolveOptions{Precond: fprec, Guess: warm, Stats: &wantStats})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotStats != wantStats {
+				t.Errorf("reused scratch: %+v, fresh system: %+v", gotStats, wantStats)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("node %d: reused scratch gives %.17g, fresh system %.17g", i, got[i], want[i])
+				}
+				if first[i] != kept[i] {
+					t.Fatalf("node %d: the second solve overwrote the first solve's field", i)
+				}
+			}
+		})
+	}
+}

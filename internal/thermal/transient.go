@@ -31,8 +31,8 @@ type Stepper struct {
 	shifted *System
 	// prec is the IC(0) factor of shifted; nil selects Jacobi.
 	prec Preconditioner
-	// ws is the CG workspace reused across steps.
-	ws *cgWork
+	// x receives each step's solve, so a failed step leaves T intact.
+	x []float64
 	// T is the current temperature field; callers may read it
 	// between steps but must not resize it.
 	T    []float64
@@ -66,12 +66,14 @@ func NewStepper(sys *System, dt float64) (*Stepper, error) {
 		return nil, err
 	}
 	st.prec = ic
-	st.ws = newCGWork(sys.N)
+	st.x = make([]float64, sys.N)
 	return st, nil
 }
 
 // buildShifted copies the system and adds C/Δt to each diagonal. The
 // diagonal is the first stored entry of every CSR row (see Assemble).
+// The copy's stencil shares the system's couplings and takes the
+// shifted diagonal.
 func (st *Stepper) buildShifted() *System {
 	src := st.sys
 	dst := &System{
@@ -87,6 +89,11 @@ func (st *Stepper) buildShifted() *System {
 		shift := src.Capacity[r] / st.dt
 		dst.Val[src.RowPtr[r]] += shift
 		dst.Diag[r] += shift
+	}
+	if src.op != nil {
+		op := *src.op
+		op.diag = dst.Diag
+		dst.op = &op
 	}
 	return dst
 }
@@ -114,16 +121,16 @@ func (st *Stepper) Step(ctx context.Context) error {
 		st.shifted.Q[i] = st.sys.Q[i] + st.sys.Capacity[i]/st.dt*st.T[i]
 	}
 	var stats SolveStats
-	t, err := st.shifted.solveCG(SolveOptions{
+	err := st.shifted.solveCG(SolveOptions{
 		Ctx: ctx, Guess: st.T, Tol: 1e-6, TolRef: st.sys.ColdStartResidual(), Precond: st.prec, Stats: &stats,
-	}, st.ws)
+	}, st.x)
 	if err != nil {
 		return fmt.Errorf("thermal: transient step at t=%.4gs: %w", st.time, err)
 	}
 	if st.OnSolve != nil {
 		st.OnSolve(stats)
 	}
-	copy(st.T, t)
+	copy(st.T, st.x)
 	st.time += st.dt
 	return nil
 }
