@@ -84,6 +84,18 @@ func TestSweepPanicRecovered(t *testing.T) {
 			if m := e.Metrics(); m.PanicsRecovered == 0 {
 				t.Fatal("cell panics not counted as panics_recovered")
 			}
+			// The sweep's default-coolant cell has fastPlan's key. A cell
+			// still in flight when the job fails would take the follow-up
+			// as a dedup, the documented contract for identical work, and
+			// hand it the injected panic; so let every cell settle first.
+			for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+				if m := e.Metrics(); m.JobsQueued == 0 && m.JobsRunning == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("cells still queued or running a minute after the job failed")
+				}
+			}
 			faultinject.Reset()
 			in, err = e.Submit(fastPlan())
 			if err != nil {

@@ -6,88 +6,35 @@ import (
 	"waterimm/internal/faultinject"
 )
 
-// System is the assembled sparse conductance system G·T = q in CSR
-// form. G is symmetric positive definite whenever the model has a
-// path to ambient. Diagonal entries include the ambient conductances;
-// the ambient temperature contribution is folded into q, so the
-// solution is the absolute temperature field in °C.
+// System is the assembled conductance system G·T = q. G is symmetric
+// positive definite whenever the model has a path to ambient. Diagonal
+// entries include the ambient conductances; the ambient temperature
+// contribution is folded into q, so the solution is the absolute
+// temperature field in °C.
 //
-// The CSR arrays are the assembly format; the matVec and multigrid run
-// on op, the seven-point stencil derived from them at assembly, whose
-// diagonal is Diag.
+// G is stored only as op, the seven-point stencil the model walk
+// assembles into directly, whose diagonal is Diag.
 type System struct {
-	N        int
-	RowPtr   []int32
-	ColIdx   []int32
-	Val      []float64
-	Q        []float64
-	Diag     []float64
-	Capacity []float64 // heat capacity per node (J/K), for transients
-	model    *Model
-	op       *stencil   // G as a seven-point stencil; nil only on hand-built systems
-	ambientG []float64  // conductance to ambient per node (W/K)
-	rowSum   []float64  // per-row sums of G, for ColdStartResidual
-	invDiag  []float64  // 1/Diag, built once at assembly for the CG preconditioner
-	mg       *Multigrid // lazily built multigrid hierarchy, cached with the system
-	cg       *cgWork    // CG scratch, reused across the owner's solves
-}
-
-// coo is a temporary triplet accumulator keyed by (row, col).
-type coo struct {
-	n       int
-	diag    []float64
-	offRow  [][]int32
-	offVal  [][]float64
-	ambient []float64 // conductance to ambient per node
-}
-
-func newCOO(n int) *coo {
-	return &coo{
-		n:       n,
-		diag:    make([]float64, n),
-		offRow:  make([][]int32, n),
-		offVal:  make([][]float64, n),
-		ambient: make([]float64, n),
-	}
-}
-
-// couple adds conductance g between nodes a and b (a ≠ b).
-func (c *coo) couple(a, b int, g float64) {
-	if g <= 0 {
-		return
-	}
-	c.diag[a] += g
-	c.diag[b] += g
-	c.addOff(a, b, -g)
-	c.addOff(b, a, -g)
-}
-
-func (c *coo) addOff(r, col int, v float64) {
-	for k, existing := range c.offRow[r] {
-		if existing == int32(col) {
-			c.offVal[r][k] += v
-			return
-		}
-	}
-	c.offRow[r] = append(c.offRow[r], int32(col))
-	c.offVal[r] = append(c.offVal[r], v)
-}
-
-// tie adds conductance g from node a to the fixed ambient temperature.
-func (c *coo) tie(a int, g float64) {
-	if g <= 0 {
-		return
-	}
-	c.diag[a] += g
-	c.ambient[a] += g
+	N         int
+	Q         []float64
+	Diag      []float64
+	Capacity  []float64 // heat capacity per node (J/K), for transients
+	model     *Model
+	op        *stencil   // G as a seven-point stencil
+	structure *Structure // the skeleton the system was assembled through; nil on the stepper's shifted copy
+	ambientG  []float64  // conductance to ambient per node (W/K)
+	rowSum    []float64  // per-row sums of G, for ColdStartResidual
+	invDiag   []float64  // 1/Diag, built once at assembly for the CG preconditioner
+	mg        *Multigrid // lazily built multigrid hierarchy, cached with the system
+	cg        *cgWork    // CG scratch, reused across the owner's solves
 }
 
 // walkConductances enumerates every conductance contribution of the
 // model in a fixed deterministic order: lateral conduction, vertical
 // conduction, convective boundary ties, lumped extras, couplings.
-// Both the full assembly and the structural (value-only) reassembly
-// consume the same walk, so their matrices stay in lockstep entry for
-// entry. Contributions with non-positive conductance are emitted too
+// newStructure records the walk and every assembly replays it, so the
+// full and the structural (value-only) assembly stay in lockstep entry
+// for entry. Contributions with non-positive conductance are emitted too
 // — the callee decides whether to skip — so the call sequence depends
 // only on the model's topology (grid, layer count, extras,
 // couplings), never on parameter values.
@@ -182,9 +129,10 @@ func walkConductances(m *Model, couple func(a, b int, g float64), tie func(a int
 	}
 }
 
-// Assemble builds the CSR system for the model. The returned system
-// is independent of the model's power maps except through Q, so a
-// caller sweeping power levels can rebuild Q cheaply via RefreshQ.
+// Assemble builds the system for the model by recording its Structure
+// and replaying it. The returned system is independent of the model's
+// power maps except through Q, so a caller sweeping power levels can
+// rebuild Q cheaply via RefreshQ.
 func Assemble(m *Model) (*System, error) {
 	if err := faultinject.Hit(nil, faultinject.SiteAssemble); err != nil {
 		return nil, fmt.Errorf("thermal: assembly failed: %w", err)
@@ -192,46 +140,14 @@ func Assemble(m *Model) (*System, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	n := m.NumNodes()
-	acc := newCOO(n)
-	walkConductances(m, acc.couple, acc.tie)
-
-	sys := &System{N: n, model: m}
-	sys.Diag = acc.diag
-	// CSR with the diagonal stored in Val as well (first entry of
-	// each row) so the matvec is a single pass.
-	nnz := n
-	for r := 0; r < n; r++ {
-		nnz += len(acc.offRow[r])
-	}
-	sys.RowPtr = make([]int32, n+1)
-	sys.ColIdx = make([]int32, 0, nnz)
-	sys.Val = make([]float64, 0, nnz)
-	for r := 0; r < n; r++ {
-		sys.RowPtr[r] = int32(len(sys.ColIdx))
-		sys.ColIdx = append(sys.ColIdx, int32(r))
-		sys.Val = append(sys.Val, acc.diag[r])
-		sys.ColIdx = append(sys.ColIdx, acc.offRow[r]...)
-		sys.Val = append(sys.Val, acc.offVal[r]...)
-	}
-	sys.RowPtr[n] = int32(len(sys.ColIdx))
-
-	if err := sys.finishAssembly(acc.ambient); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return newStructure(m).assemble(m)
 }
 
-// finishAssembly fills in everything downstream of the CSR matrix —
-// the stencil, heat capacities, right-hand side, ambient bookkeeping,
-// and the inverted diagonal — shared by the full and structural
-// assembly paths so the two stay in lockstep.
+// finishAssembly fills in everything downstream of G — heat
+// capacities, right-hand side, ambient bookkeeping, and the inverted
+// diagonal.
 func (sys *System) finishAssembly(ambient []float64) error {
 	m := sys.model
-	var err error
-	if sys.op, err = newSystemStencil(sys); err != nil {
-		return err
-	}
 	g := m.Grid
 	nc := g.Cells()
 	cellArea := g.DX() * g.DY()
@@ -255,10 +171,9 @@ func (sys *System) finishAssembly(ambient []float64) error {
 	// Invert the diagonal once here instead of on every solve: warm
 	// sweeps re-solve a cached system hundreds of times, and the
 	// validation doubles as the disconnected-from-ambient check.
-	if sys.invDiag, err = invertDiag(sys.Diag); err != nil {
-		return err
-	}
-	return nil
+	var err error
+	sys.invDiag, err = invertDiag(sys.Diag)
+	return err
 }
 
 // Model returns the model the system was assembled from. Callers that

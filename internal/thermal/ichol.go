@@ -6,8 +6,8 @@ import (
 )
 
 // ichol is a zero-fill incomplete Cholesky factor A ≈ L·Lᵀ of a
-// symmetric CSR matrix: L keeps exactly the lower-triangle sparsity of
-// A and drops every fill-in entry. The transient stepper's shifted
+// symmetric matrix: L keeps exactly the lower-triangle sparsity of A
+// and drops every fill-in entry. The transient stepper's shifted
 // operator G + C/Δt is an SPD M-matrix, for which IC(0) exists and is
 // stable (Meijerink–van der Vorst), and it is time-invariant, so the
 // factor is built once per Stepper and reused on every step.
@@ -23,12 +23,12 @@ type ichol struct {
 	invD []float64
 }
 
-// newIChol factors s. The diagonal must be the first stored entry of
-// every CSR row (see Assemble); a non-positive pivot, which an SPD
-// M-matrix cannot produce, is reported with its node.
-func newIChol(s *System) (*ichol, error) {
-	n := s.N
-	l := strictLower(s)
+// newIChol factors the matrix with strict lower triangle l (see
+// strictLower) and diagonal diag, in place of l's values. A
+// non-positive pivot, which an SPD M-matrix cannot produce, is
+// reported with its node.
+func newIChol(l *csrMat, diag []float64) (*ichol, error) {
+	n := len(diag)
 	lPtr, lCol, lVal := l.rowPtr, l.colIdx, l.val
 	ic := &ichol{l: l, invD: make([]float64, n)}
 	// slot[j] is the position of L[i][j] in lVal while row i is being
@@ -43,7 +43,7 @@ func newIChol(s *System) (*ichol, error) {
 		for p := lo; p < hi; p++ {
 			slot[lCol[p]] = p
 		}
-		d := s.Val[s.RowPtr[i]]
+		d := diag[i]
 		for p := lo; p < hi; p++ {
 			k := lCol[p]
 			v := lVal[p]
@@ -67,18 +67,33 @@ func newIChol(s *System) (*ichol, error) {
 	return ic, nil
 }
 
-// strictLower returns the strict lower triangle of s in CSR with
-// ascending columns. Assemble stores each row's off-diagonals in
-// insertion order, so the triangle is built as the transpose of the
-// strict upper one: appending k to row i for every stored (k, i) with
-// i > k, rows k in order, is a bucket sort and sorts no row on its
-// own. s is symmetric, so A[k][i] stands in for A[i][k].
-func strictLower(s *System) *csrMat {
-	n := s.N
+// strictLower returns the strict lower triangle of a in CSR with
+// ascending columns. A grid row's lower neighbours are its down, south
+// and west couplings, in that column order. An extra row's are built
+// as the transpose of the extras' strict upper entries: appending k to
+// row i for every stored (k, i) with i > k, rows k in order, is a
+// bucket sort and sorts no row on its own. a is symmetric, so A[k][i]
+// stands in for A[i][k]. Model.Validate keeps every grid coupling
+// positive, so each present neighbour is a stored entry.
+func strictLower(a *stencil) *csrMat {
+	n := len(a.diag)
+	nx, nc := a.nx, a.nx*a.ny
+	grid := a.layers * nc
 	l := &csrMat{rowPtr: make([]int32, n+1)}
-	for r := 0; r < n; r++ {
-		for k := s.RowPtr[r]; k < s.RowPtr[r+1]; k++ {
-			if c := s.ColIdx[k]; int(c) > r {
+	for r := 0; r < grid; r++ {
+		if r >= nc {
+			l.rowPtr[r+1]++
+		}
+		if r%nc >= nx {
+			l.rowPtr[r+1]++
+		}
+		if r%nx > 0 {
+			l.rowPtr[r+1]++
+		}
+	}
+	for r := 0; r+1 < len(a.xPtr); r++ {
+		for k := a.xPtr[r]; k < a.xPtr[r+1]; k++ {
+			if c := a.xCol[k]; int(c) > r {
 				l.rowPtr[c+1]++
 			}
 		}
@@ -89,12 +104,26 @@ func strictLower(s *System) *csrMat {
 	l.colIdx = make([]int32, l.rowPtr[n])
 	l.val = make([]float64, l.rowPtr[n])
 	next := append([]int32(nil), l.rowPtr[:n]...)
-	for r := 0; r < n; r++ {
-		for k := s.RowPtr[r]; k < s.RowPtr[r+1]; k++ {
-			if c := s.ColIdx[k]; int(c) > r {
-				l.colIdx[next[c]] = int32(r)
-				l.val[next[c]] = s.Val[k]
-				next[c]++
+	put := func(r, c int, v float64) {
+		l.colIdx[next[r]] = int32(c)
+		l.val[next[r]] = v
+		next[r]++
+	}
+	for r := 0; r < grid; r++ {
+		if r >= nc {
+			put(r, r-nc, a.up[r-nc])
+		}
+		if r%nc >= nx {
+			put(r, r-nx, a.north[r-nx])
+		}
+		if r%nx > 0 {
+			put(r, r-1, a.east[r-1])
+		}
+	}
+	for r := 0; r+1 < len(a.xPtr); r++ {
+		for k := a.xPtr[r]; k < a.xPtr[r+1]; k++ {
+			if c := a.xCol[k]; int(c) > r {
+				put(int(c), r, a.xVal[k])
 			}
 		}
 	}

@@ -6,63 +6,46 @@ import (
 	"testing"
 )
 
-// denseSystem hand-builds a CSR system from a small dense symmetric
-// matrix, diagonal first in every row as Assemble stores it.
-func denseSystem(a [][]float64, q, capacity []float64) *System {
-	n := len(a)
-	sys := &System{
-		N: n, RowPtr: make([]int32, n+1), Diag: make([]float64, n),
-		Q: q, Capacity: capacity, model: &Model{AmbientC: 25},
+// column is a one-cell die/TIM/lid stack with a water film on the lid
+// and 1 W in the die, assembled without Model.Validate, whose 2×2
+// minimum rules out a 1×1 grid. withBoard adds a lumped board node,
+// tied to the coolant, coupled to every layer.
+func column(t *testing.T, withBoard bool) *System {
+	m := &Model{
+		Grid:     Grid{NX: 1, NY: 1, W: 1e-3, H: 1e-3},
+		AmbientC: 25,
+		Layers: []Layer{
+			{Name: "die", Thickness: 0.5e-3, K: 150, VolHeatCap: 1.63e6, Power: []float64{1}},
+			{Name: "tim", Thickness: 0.05e-3, K: 5, VolHeatCap: 2e6},
+			{Name: "lid", Thickness: 2e-3, K: 390, VolHeatCap: 3.45e6, TopCoeff: 5e3},
+		},
 	}
-	for r := range a {
-		sys.Diag[r] = a[r][r]
-		sys.ColIdx = append(sys.ColIdx, int32(r))
-		sys.Val = append(sys.Val, a[r][r])
-		for c, v := range a[r] {
-			if c != r && v != 0 {
-				sys.ColIdx = append(sys.ColIdx, int32(c))
-				sys.Val = append(sys.Val, v)
-			}
+	if withBoard {
+		m.Extras = []Extra{{Name: "board", AmbientG: 1e-3, Cap: 0.5}}
+		for l := range m.Layers {
+			m.Couplings = append(m.Couplings, Coupling{ExtraA: 0, ExtraB: -1, Layer: l, G: 0.01})
 		}
-		sys.RowPtr[r+1] = int32(len(sys.ColIdx))
 	}
-	return sys
+	return assembleUnchecked(t, m)
 }
 
 // TestICholExactWithoutFill checks that where elimination creates no
 // fill, so zero fill drops nothing, IC(0) is the exact Cholesky factor:
 // the preconditioner inverts the shifted operator and CG needs at most
-// one iteration. The column is a die/TIM/lid stack (vertical
-// conductances in W/K, a film on the lid), built by hand because
-// Grid.Validate rejects a 1×1 grid; alone it is tridiagonal. Adding a
+// one iteration. A one-cell column alone is tridiagonal. Adding a
 // lumped board node coupled to every layer, as the extras couple to a
 // whole layer, makes each node's later neighbours adjacent, so the
 // factor stays exact only if the row update subtracts L[i][j]·L[k][j].
 func TestICholExactWithoutFill(t *testing.T) {
-	const gDieTim, gTimLid, gFilm, gBoard = 7.2, 7.5, 0.08, 0.3
 	for _, tc := range []struct {
-		name string
-		a    [][]float64
-		q    []float64
-		c    []float64
-	}{
-		{"tridiagonal column", [][]float64{
-			{gDieTim, -gDieTim, 0},
-			{-gDieTim, gDieTim + gTimLid, -gTimLid},
-			{0, -gTimLid, gTimLid + gFilm},
-		}, []float64{20, 0, gFilm * 25}, []float64{0.05, 0.01, 0.7}},
-		{"column with board", [][]float64{
-			{gDieTim + gBoard, -gDieTim, 0, -gBoard},
-			{-gDieTim, gDieTim + gTimLid + gBoard, -gTimLid, -gBoard},
-			{0, -gTimLid, gTimLid + gFilm + gBoard, -gBoard},
-			{-gBoard, -gBoard, -gBoard, 3*gBoard + gFilm},
-		}, []float64{20, 0, gFilm * 25, gFilm * 25}, []float64{0.05, 0.01, 0.7, 2}},
-	} {
-		st, err := NewStepper(denseSystem(tc.a, tc.q, tc.c), 0.01)
+		name  string
+		board bool
+	}{{"tridiagonal column", false}, {"column with board", true}} {
+		st, err := NewStepper(column(t, tc.board), 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := []float64{1, -2, 3, -4}[:len(tc.a)]
+		x := []float64{1, -2, 3, -4}[:st.sys.N]
 		ax := make([]float64, len(x))
 		st.shifted.MatVec(ax, x)
 		z := make([]float64, len(x))
@@ -74,7 +57,7 @@ func TestICholExactWithoutFill(t *testing.T) {
 		}
 
 		for i := range st.shifted.Q {
-			st.shifted.Q[i] = tc.q[i] + tc.c[i]/st.dt*st.T[i]
+			st.shifted.Q[i] = st.sys.Q[i] + st.sys.Capacity[i]/st.dt*st.T[i]
 		}
 		var stats SolveStats
 		if _, err := st.shifted.SolveSteady(SolveOptions{Tol: 1e-12, Precond: st.prec, Stats: &stats}); err != nil {
@@ -87,10 +70,14 @@ func TestICholExactWithoutFill(t *testing.T) {
 }
 
 // TestICholRejectsNonPositivePivot hand-builds a symmetric system that
-// is not positive definite, [[1, −2], [−2, 1]] with no capacity: the
-// second pivot is 1 − 4 < 0 and NewStepper must name node 1.
+// is not positive definite, a two-layer column [[1, −2], [−2, 1]] with
+// no capacity: the second pivot is 1 − 4 < 0 and NewStepper must name
+// node 1.
 func TestICholRejectsNonPositivePivot(t *testing.T) {
-	sys := denseSystem([][]float64{{1, -2}, {-2, 1}}, make([]float64, 2), make([]float64, 2))
+	op := newStencil(1, 1, 2, 2, false)
+	op.diag[0], op.diag[1] = 1, 1
+	op.up[0] = -2
+	sys := &System{N: 2, Diag: op.diag, Capacity: make([]float64, 2), model: &Model{AmbientC: 25}, op: op}
 	_, err := NewStepper(sys, 0.01)
 	if err == nil {
 		t.Fatal("expected an error for a non-positive pivot")

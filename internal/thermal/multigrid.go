@@ -209,9 +209,6 @@ func (m *Multigrid) Kernels() []Kernel {
 // buildMultigrid constructs the level structure (reusing the transfer
 // operators of `reuse` when given), then fills in the values.
 func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
-	if s.model == nil || s.op == nil {
-		return nil, fmt.Errorf("thermal: multigrid needs the grid structure; system has no model")
-	}
 	a := s.op
 	fine := &mgLevel{
 		nx: a.nx, ny: a.ny, layers: a.layers, n: s.N,

@@ -223,12 +223,13 @@ func TestCoarseOperatorIsRediscretization(t *testing.T) {
 		t.Fatal(err)
 	}
 	l1 := stencilCSR(mg.levels[1].op)
+	asm := stencilCSR(coarse.op)
 	if l1.rows != coarse.N {
 		t.Fatalf("level 1 has %d nodes, the 16×16 assembly %d", l1.rows, coarse.N)
 	}
 	for r := 0; r < coarse.N; r++ {
 		got := rowMap(l1.rowPtr, l1.colIdx, l1.val, r)
-		want := rowMap(coarse.RowPtr, coarse.ColIdx, coarse.Val, r)
+		want := rowMap(asm.rowPtr, asm.colIdx, asm.val, r)
 		if len(got) != len(want) {
 			t.Fatalf("row %d: %d entries, assembly has %d", r, len(got), len(want))
 		}

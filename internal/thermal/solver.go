@@ -128,25 +128,8 @@ func (o SolveOptions) withDefaults(n int) SolveOptions {
 }
 
 // MatVec computes y = G·x on the system's stencil, parallelised over
-// grid lines. This is the solver's hot loop. Hand-built systems
-// without a stencil run the CSR loop, which sums every row in the same
-// order.
-func (s *System) MatVec(y, x []float64) {
-	if s.op != nil {
-		s.op.mul(y, x, nil)
-		return
-	}
-	rowPtr, colIdx, val := s.RowPtr, s.ColIdx, s.Val
-	parallel.For(s.N, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			var sum float64
-			for k := rowPtr[r]; k < rowPtr[r+1]; k++ {
-				sum += val[k] * x[colIdx[k]]
-			}
-			y[r] = sum
-		}
-	})
-}
+// grid lines. This is the solver's hot loop.
+func (s *System) MatVec(y, x []float64) { s.op.mul(y, x, nil) }
 
 func dot(a, b []float64) float64 {
 	return parallel.ReduceSum(len(a), func(lo, hi int) float64 {
@@ -166,14 +149,12 @@ func dot(a, b []float64) float64 {
 // better-targeted. O(N) using cached row sums of G.
 func (s *System) ColdStartResidual() float64 {
 	if s.rowSum == nil {
-		s.rowSum = make([]float64, s.N)
-		for r := 0; r < s.N; r++ {
-			var sum float64
-			for k := s.RowPtr[r]; k < s.RowPtr[r+1]; k++ {
-				sum += s.Val[k]
-			}
-			s.rowSum[r] = sum
+		ones := make([]float64, s.N)
+		for i := range ones {
+			ones[i] = 1
 		}
+		s.rowSum = make([]float64, s.N)
+		s.op.mul(s.rowSum, ones, nil)
 	}
 	amb := s.model.AmbientC
 	return math.Sqrt(parallel.ReduceSum(s.N, func(lo, hi int) float64 {
@@ -231,11 +212,10 @@ func (s *System) solveCG(opt SolveOptions, x []float64) error {
 		}
 	}
 
-	// invDiag is normally built by Assemble; hand-built systems fall
-	// back to a lazy construction with the same validation. The
-	// transient stepper's shifted copy has none: it is solved with its
-	// incomplete Cholesky factor, and only builds invDiag here if it is
-	// ever solved on the Jacobi path.
+	// invDiag is normally built at assembly. The transient stepper's
+	// shifted copy has none: it is solved with its incomplete Cholesky
+	// factor, and only builds invDiag here, with the same validation,
+	// if it is ever solved on the Jacobi path.
 	invDiag := s.invDiag
 	if invDiag == nil && opt.Precond == nil {
 		var err error

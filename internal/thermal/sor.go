@@ -22,7 +22,8 @@ func (s *System) SolveSOR(omega float64, tol float64, maxSweeps int) ([]float64,
 	if maxSweeps <= 0 {
 		maxSweeps = 20000
 	}
-	n := s.N
+	n, op := s.N, s.op
+	grid := op.layers * op.nx * op.ny
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = s.model.AmbientC
@@ -45,12 +46,19 @@ func (s *System) SolveSOR(omega float64, tol float64, maxSweeps int) ([]float64,
 		return x, nil
 	}
 	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// One Gauss-Seidel sweep with over-relaxation. The CSR rows
-		// store the diagonal first (see Assemble).
+		// One Gauss-Seidel sweep with over-relaxation. Each row's
+		// off-diagonal sum starts from +0 and runs in the stencil's
+		// summation order.
 		for row := 0; row < n; row++ {
 			var sum float64
-			for k := s.RowPtr[row] + 1; k < s.RowPtr[row+1]; k++ {
-				sum += s.Val[k] * x[s.ColIdx[k]]
+			if row < grid {
+				so, w, e, no, down, up := op.terms(x, row)
+				sum = sum + so + w + e + no + down + up
+			}
+			if op.xPtr != nil {
+				for k := op.xPtr[row]; k < op.xPtr[row+1]; k++ {
+					sum += op.xVal[k] * x[op.xCol[k]]
+				}
 			}
 			gs := (s.Q[row] - sum) / s.Diag[row]
 			x[row] += omega * (gs - x[row])

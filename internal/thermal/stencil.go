@@ -1,27 +1,22 @@
 package thermal
 
-import (
-	"fmt"
-
-	"waterimm/internal/parallel"
-)
+import "waterimm/internal/parallel"
 
 // stencil is a layered grid operator in seven-point form: every grid
 // node couples only to its in-plane and same-cell vertical neighbours,
 // so the matVec finds them by index arithmetic instead of gathering
-// through a CSR column index. The System carries one derived from its
-// CSR matrix; every multigrid level below it carries one built by
-// coarsen and no CSR at all.
+// through a column index. It is the only form of G: the System's is
+// assembled straight from the model walk (see Structure), and every
+// multigrid level below it carries one built by coarsen.
 //
-// Each row is summed in exactly the order of the CSR row it replaces,
-// which makes every kernel bit-identical to the CSR loop:
-//   - System rows follow Assemble's insertion order: diag, S, W, E, N,
-//     down, up, then the lumped extras' columns;
-//   - coarse rows follow coarsen's slot order (ascending column):
-//     diag, down, S, W, E, N, up.
+// Each row is summed in a fixed order, the one the kernels are pinned
+// to bit for bit:
+//   - System rows: diag, S, W, E, N, down, up, then the lumped extras'
+//     columns in the order the walk first couples them;
+//   - coarse rows (ascending column): diag, down, S, W, E, N, up.
 //
-// A neighbour the CSR row does not store contributes a zero coupling.
-// A CG sum is never −0, so adding that ±0 term leaves it unchanged.
+// A missing neighbour contributes a zero coupling. A CG sum is never
+// −0, so adding that ±0 term leaves it unchanged.
 type stencil struct {
 	nx, ny, layers int
 	// diag holds every node's diagonal, lumped extras included; a
@@ -35,9 +30,9 @@ type stencil struct {
 	// zFirst selects the coarse row order (vertical neighbours right
 	// after the diagonal) over Assemble's.
 	zFirst bool
-	// The lumped extras' entries, CSR over all rows in the order the
-	// System stores them: a grid row holds its extra columns, an extra
-	// row all of its off-diagonals. Nil on coarse levels.
+	// The lumped extras' entries, CSR over all rows in summation
+	// order: a grid row holds its extra columns, an extra row all of
+	// its off-diagonals. Nil on coarse levels and without couplings.
 	xPtr []int32
 	xCol []int32
 	xVal []float64
@@ -54,93 +49,6 @@ func newStencil(nx, ny, layers, n int, zFirst bool) *stencil {
 		east: make([]float64, grid), north: make([]float64, grid), up: make([]float64, grid),
 		zero: make([]float64, nx),
 	}
-}
-
-// Neighbour directions of a System row, in Assemble's insertion order.
-const (
-	dirSouth = iota
-	dirWest
-	dirEast
-	dirNorth
-	dirDown
-	dirUp
-	numDirs
-)
-
-// newSystemStencil derives the stencil of an assembled system from its
-// CSR matrix; the stencil's diagonal aliases s.Diag. It fails when a
-// row does not have Assemble's shape — diagonal first, grid neighbours
-// in insertion order before any extra column — or when the grid
-// couplings are not exactly symmetric, since the kernels would then
-// not reproduce the CSR sums.
-func newSystemStencil(s *System) (*stencil, error) {
-	m := s.model
-	nx, ny, layers := m.Grid.NX, m.Grid.NY, len(m.Layers)
-	nc := nx * ny
-	grid := layers * nc
-	if grid+len(m.Extras) != s.N || len(s.Diag) != s.N {
-		return nil, fmt.Errorf("thermal: system of %d nodes does not match its %d×%d×%d grid", s.N, nx, ny, layers)
-	}
-	a := newStencil(nx, ny, layers, 0, false)
-	a.diag = s.Diag
-	a.xPtr = make([]int32, s.N+1)
-	bad := func(r int) error {
-		return fmt.Errorf("thermal: system row %d does not fit the seven-point stencil", r)
-	}
-	for r := 0; r < s.N; r++ {
-		k, end := s.RowPtr[r], s.RowPtr[r+1]
-		if k == end || int(s.ColIdx[k]) != r || s.Val[k] != s.Diag[r] {
-			return nil, bad(r)
-		}
-		k++
-		if r < grid {
-			lay, j, i := r/nc, r%nc/nx, r%nx
-			col := [numDirs]int{r - nx, r - 1, r + 1, r + nx, r - nc, r + nc}
-			has := [numDirs]bool{j > 0, i > 0, i < nx-1, j < ny-1, lay > 0, lay < layers-1}
-			for d := 0; d < numDirs; d++ {
-				if !has[d] {
-					continue
-				}
-				var v float64
-				if k < end && int(s.ColIdx[k]) == col[d] {
-					v = s.Val[k]
-					k++
-				}
-				// Forward couplings are stored; backward ones must equal
-				// the neighbour's stored entry (0 when it has none).
-				ok := true
-				switch d {
-				case dirSouth:
-					ok = a.north[r-nx] == v
-				case dirWest:
-					ok = a.east[r-1] == v
-				case dirEast:
-					a.east[r] = v
-				case dirNorth:
-					a.north[r] = v
-				case dirDown:
-					ok = a.up[r-nc] == v
-				case dirUp:
-					a.up[r] = v
-				}
-				if !ok {
-					return nil, bad(r)
-				}
-			}
-		}
-		for ; k < end; k++ {
-			if r < grid && int(s.ColIdx[k]) < grid {
-				return nil, bad(r)
-			}
-			a.xCol = append(a.xCol, s.ColIdx[k])
-			a.xVal = append(a.xVal, s.Val[k])
-		}
-		a.xPtr[r+1] = int32(len(a.xCol))
-	}
-	if len(a.xCol) == 0 {
-		a.xPtr = nil
-	}
-	return a, nil
 }
 
 // forLines runs fn over every grid line (run of nx nodes along i) of a
@@ -231,12 +139,20 @@ func (a *stencil) mulLine(dst, x, b []float64, line int) {
 	}
 }
 
-// row returns grid row r's seven-point sum (extras excluded), checking
-// every neighbour's existence.
+// row returns grid row r's seven-point sum (extras excluded).
 func (a *stencil) row(x []float64, r int) float64 {
+	s, w, e, n, down, up := a.terms(x, r)
+	if a.zFirst {
+		return a.diag[r]*x[r] + down + s + w + e + n + up
+	}
+	return a.diag[r]*x[r] + s + w + e + n + down + up
+}
+
+// terms returns grid row r's six coupling terms, checking every
+// neighbour's existence; a missing one is 0.
+func (a *stencil) terms(x []float64, r int) (s, w, e, n, down, up float64) {
 	nx, nc := a.nx, a.nx*a.ny
 	lay, j, i := r/nc, r%nc/nx, r%nx
-	var s, w, e, n, down, up float64
 	if j > 0 {
 		s = a.north[r-nx] * x[r-nx]
 	}
@@ -255,8 +171,5 @@ func (a *stencil) row(x []float64, r int) float64 {
 	if lay < a.layers-1 {
 		up = a.up[r] * x[r+nc]
 	}
-	if a.zFirst {
-		return a.diag[r]*x[r] + down + s + w + e + n + up
-	}
-	return a.diag[r]*x[r] + s + w + e + n + down + up
+	return
 }

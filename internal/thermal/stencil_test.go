@@ -32,8 +32,78 @@ func (m *refCSR) mul(dst, x []float64) {
 	}
 }
 
-func systemCSR(s *System) *refCSR {
-	return &refCSR{rows: s.N, rowPtr: s.RowPtr, colIdx: s.ColIdx, val: s.Val}
+// refAssemble is the CSR assembly the stencil replaced, kept as the
+// reference: every contribution of the model walk is accumulated per
+// row in insertion order, the diagonal stored first, each
+// off-diagonal found by scanning its row.
+func refAssemble(m *Model) *refCSR {
+	n := m.NumNodes()
+	diag := make([]float64, n)
+	cols := make([][]int32, n)
+	vals := make([][]float64, n)
+	addOff := func(r, c int, v float64) {
+		for k, existing := range cols[r] {
+			if existing == int32(c) {
+				vals[r][k] += v
+				return
+			}
+		}
+		cols[r] = append(cols[r], int32(c))
+		vals[r] = append(vals[r], v)
+	}
+	couple := func(a, b int, g float64) {
+		if g > 0 {
+			diag[a] += g
+			diag[b] += g
+			addOff(a, b, -g)
+			addOff(b, a, -g)
+		}
+	}
+	tie := func(a int, g float64) {
+		if g > 0 {
+			diag[a] += g
+		}
+	}
+	walkConductances(m, couple, tie)
+	c := &refCSR{rows: n, rowPtr: make([]int32, n+1)}
+	for r := 0; r < n; r++ {
+		c.colIdx = append(append(c.colIdx, int32(r)), cols[r]...)
+		c.val = append(append(c.val, diag[r]), vals[r]...)
+		c.rowPtr[r+1] = int32(len(c.colIdx))
+	}
+	return c
+}
+
+// refShifted is the reference CSR with shift[r] added to row r's
+// diagonal.
+func refShifted(a *refCSR, shift []float64) *refCSR {
+	c := *a
+	c.val = append([]float64(nil), a.val...)
+	for r, s := range shift {
+		c.val[c.rowPtr[r]] += s
+	}
+	return &c
+}
+
+// refStrictLower is the IC(0) input the stencil's strictLower
+// replaced: the strict lower triangle of a, built as the transpose of
+// the strict upper one, so columns ascend.
+func refStrictLower(a *refCSR) (lower *csrMat, diag []float64) {
+	n := a.rows
+	upper := &refCSR{rows: n, rowPtr: make([]int32, n+1)}
+	diag = make([]float64, n)
+	for r := 0; r < n; r++ {
+		diag[r] = a.val[a.rowPtr[r]]
+		for k := a.rowPtr[r]; k < a.rowPtr[r+1]; k++ {
+			if c := a.colIdx[k]; int(c) > r {
+				upper.colIdx = append(upper.colIdx, c)
+				upper.val = append(upper.val, a.val[k])
+			}
+		}
+		upper.rowPtr[r+1] = int32(len(upper.colIdx))
+	}
+	t := refTranspose(upper, n)
+	return &csrMat{rowPtr: t.rowPtr, colIdx: t.colIdx, val: t.val}, diag
 }
 
 // stencilCSR writes a stencil out as CSR in the order its kernel sums
@@ -274,15 +344,16 @@ type refLevel struct {
 	x, b, res   []float64
 }
 
-// refHierarchy builds the CSR reference hierarchy of sys over the
-// level dimensions of mg.
-func refHierarchy(sys *System, mg *Multigrid) []*refLevel {
-	extras := len(sys.model.Extras)
+// refHierarchy builds the CSR reference hierarchy of the fine
+// operator a over the level dimensions of mg.
+func refHierarchy(a *refCSR, mg *Multigrid) []*refLevel {
+	fine := mg.levels[0]
+	extras := fine.n - fine.layers*fine.nx*fine.ny
 	out := make([]*refLevel, len(mg.levels))
 	for li, l := range mg.levels {
 		rl := &refLevel{nc: l.nx * l.ny, layers: l.layers}
 		if li == 0 {
-			rl.a = systemCSR(sys)
+			rl.a = a
 		} else {
 			f := mg.levels[li-1]
 			rl.a = refCoarsen(out[li-1].a, f.nx, f.ny, l.nx, l.ny, l.layers)
@@ -378,25 +449,37 @@ func sameCSR(t *testing.T, what string, got, want *refCSR) {
 	}
 }
 
-// checkKernels compares every kernel of sys and its hierarchy mg
-// (built from, or borrowed from, valSys) with the CSR reference.
-func checkKernels(t *testing.T, sys, valSys *System, mg *Multigrid) {
+// checkKernels compares every kernel of sys, with reference CSR ref,
+// and of its hierarchy mg, built from (or borrowed from) the system
+// with reference valRef, against the CSR reference; and sys's IC(0)
+// factor against the one the reference's lower triangle gives.
+func checkKernels(t *testing.T, sys *System, ref, valRef *refCSR, mg *Multigrid) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
-	if sys.op == nil {
-		t.Fatal("system has no stencil")
-	}
-	// The System's stencil reproduces its CSR row by row.
-	sameCSR(t, "system stencil", stencilCSR(sys.op), systemCSR(sys))
+	// The System's stencil reproduces the reference row by row.
+	sameCSR(t, "system stencil", stencilCSR(sys.op), ref)
 	x := randVec(rng, sys.N)
 	got, want := make([]float64, sys.N), make([]float64, sys.N)
 	sys.MatVec(got, x)
-	systemCSR(sys).mul(want, x)
+	ref.mul(want, x)
 	sameVec(t, "System.MatVec", got, want)
 
-	ref := refHierarchy(valSys, mg)
+	ic, err := newIChol(strictLower(sys.op), sys.Diag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refLower, refDiag := refStrictLower(ref)
+	wantIC, err := newIChol(refLower, refDiag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, "IC(0) factor", &refCSR{rows: sys.N, rowPtr: ic.l.rowPtr, colIdx: ic.l.colIdx, val: ic.l.val},
+		&refCSR{rows: sys.N, rowPtr: wantIC.l.rowPtr, colIdx: wantIC.l.colIdx, val: wantIC.l.val})
+	sameVec(t, "IC(0) inverse diagonal", ic.invD, wantIC.invD)
+
+	levels := refHierarchy(valRef, mg)
 	for li, l := range mg.levels {
-		rl := ref[li]
+		rl := levels[li]
 		name := func(k string) string { return fmt.Sprintf("level %d (%d×%d) %s", li, l.nx, l.ny, k) }
 		if li > 0 {
 			sameCSR(t, name("operator"), stencilCSR(l.op), rl.a)
@@ -443,7 +526,7 @@ func checkKernels(t *testing.T, sys, valSys *System, mg *Multigrid) {
 	r := randVec(rng, sys.N)
 	z, wantZ := make([]float64, sys.N), make([]float64, sys.N)
 	mg.Apply(z, r)
-	refVCycle(ref, mg, 0, wantZ, r)
+	refVCycle(levels, mg, 0, wantZ, r)
 	sameVec(t, "Apply", z, wantZ)
 }
 
@@ -451,24 +534,17 @@ func checkKernels(t *testing.T, sys, valSys *System, mg *Multigrid) {
 // minimum would rule out one-cell-wide grids.
 func assembleUnchecked(t *testing.T, m *Model) *System {
 	t.Helper()
-	n := m.NumNodes()
-	acc := newCOO(n)
-	walkConductances(m, acc.couple, acc.tie)
-	sys := &System{N: n, model: m, Diag: acc.diag, RowPtr: make([]int32, n+1)}
-	for r := 0; r < n; r++ {
-		sys.ColIdx = append(append(sys.ColIdx, int32(r)), acc.offRow[r]...)
-		sys.Val = append(append(sys.Val, acc.diag[r]), acc.offVal[r]...)
-		sys.RowPtr[r+1] = int32(len(sys.ColIdx))
-	}
-	if err := sys.finishAssembly(acc.ambient); err != nil {
+	sys, err := newStructure(m).assemble(m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
 }
 
-// TestStencilKernelsMatchCSR pins every stencil kernel — the System and
-// level matVecs and residuals, restriction, prolongation, the line
-// solve and a whole V-cycle — to the CSR loops they replaced, with ==:
+// TestStencilKernelsMatchCSR pins the assembled stencil and every
+// stencil kernel — the System and level matVecs and residuals,
+// restriction, prolongation, the line solve, a whole V-cycle and the
+// IC(0) factor — to the CSR assembly and loops they replaced, with ==:
 // each kernel sums every row in the CSR row's order, so solves,
 // iteration counts and goldens cannot move. It covers square, odd,
 // semicoarsened and one-cell-wide grids with and without lumped
@@ -497,21 +573,23 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 						return s
 					}
 					sys := assemble(mgStack(g.nx, g.ny, extras))
+					ref := refAssemble(sys.Model())
 					mg, err := sys.Multigrid()
 					if err != nil {
 						t.Fatal(err)
 					}
-					t.Run("assemble", func(t *testing.T) { checkKernels(t, sys, sys, mg) })
+					t.Run("assemble", func(t *testing.T) { checkKernels(t, sys, ref, ref, mg) })
 
 					pert := assemble(perturbStack(g.nx, g.ny, extras))
+					pertRef := refAssemble(pert.Model())
 					t.Run("refreshed", func(t *testing.T) {
 						fresh, err := mg.RefreshedCopy(pert)
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkKernels(t, pert, pert, fresh)
+						checkKernels(t, pert, pertRef, pertRef, fresh)
 					})
-					t.Run("borrow", func(t *testing.T) { checkKernels(t, pert, sys, mg.Borrow()) })
+					t.Run("borrow", func(t *testing.T) { checkKernels(t, pert, pertRef, ref, mg.Borrow()) })
 					if !oneWide {
 						t.Run("structure", func(t *testing.T) {
 							st, err := sys.Structure()
@@ -526,7 +604,7 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							checkKernels(t, ss, ss, smg)
+							checkKernels(t, ss, pertRef, pertRef, smg)
 						})
 					}
 					t.Run("shifted", func(t *testing.T) {
@@ -535,11 +613,16 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 							t.Fatal(err)
 						}
 						sh := stp.shifted
+						shift := make([]float64, sys.N)
+						for r, c := range sys.Capacity {
+							shift[r] = c / stp.dt
+						}
+						shRef := refShifted(ref, shift)
 						shmg, err := buildMultigrid(sh, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						checkKernels(t, sh, sh, shmg)
+						checkKernels(t, sh, shRef, shRef, shmg)
 					})
 				})
 			}
@@ -547,9 +630,9 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 	}
 }
 
-// TestEverySystemHasStencil: every System the package builds from a
-// model carries a stencil, so the CSR matVec serves only hand-built
-// systems.
+// TestEverySystemHasStencil: every System the package builds carries
+// its stencil with the diagonal aliasing Diag, and the stepper's
+// shifted copy shares the system's couplings.
 func TestEverySystemHasStencil(t *testing.T) {
 	for _, extras := range []bool{false, true} {
 		sys, err := Assemble(mgStack(12, 9, extras))
@@ -569,9 +652,7 @@ func TestEverySystemHasStencil(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, s := range map[string]*System{"Assemble": sys, "Structure.Assemble": ss, "NewStepper": stp.shifted} {
-			if s.op == nil {
-				t.Errorf("extras=%t: %s system has no stencil", extras, name)
-			} else if &s.op.diag[0] != &s.Diag[0] {
+			if &s.op.diag[0] != &s.Diag[0] {
 				t.Errorf("extras=%t: %s stencil diagonal does not alias Diag", extras, name)
 			}
 		}
@@ -614,46 +695,4 @@ func TestLineSmootherReportsBadPivot(t *testing.T) {
 	if _, serr := fmt.Sscanf(err.Error()[strings.Index(err.Error(), "node"):], "node %d", &node); serr != nil || node < nc || node >= 2*nc {
 		t.Errorf("error names node %d, want one in the middle layer [%d, %d): %v", node, nc, 2*nc, err)
 	}
-}
-
-// TestSystemStencilRejectsMisfitRows: a CSR row the kernels could not
-// reproduce — grid neighbours out of Assemble's order, or a coupling
-// whose mirror entry differs — must fail the derivation instead of
-// producing a stencil that sums differently.
-func TestSystemStencilRejectsMisfitRows(t *testing.T) {
-	clone := func(t *testing.T) *System {
-		sys, err := Assemble(mgStack(6, 5, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := *sys
-		c.ColIdx = append([]int32(nil), sys.ColIdx...)
-		c.Val = append([]float64(nil), sys.Val...)
-		return &c
-	}
-	// Node (1, 1) of layer 0 stores diag, S, W, E, N, up.
-	r := 1*6 + 1
-	t.Run("order", func(t *testing.T) {
-		s := clone(t)
-		k := s.RowPtr[r] + 1
-		s.ColIdx[k], s.ColIdx[k+1] = s.ColIdx[k+1], s.ColIdx[k]
-		s.Val[k], s.Val[k+1] = s.Val[k+1], s.Val[k]
-		if _, err := newSystemStencil(s); err == nil {
-			t.Error("S and W swapped: derivation accepted the row")
-		}
-	})
-	t.Run("asymmetric", func(t *testing.T) {
-		s := clone(t)
-		s.Val[s.RowPtr[r]+1] *= 1.5
-		if _, err := newSystemStencil(s); err == nil {
-			t.Error("S coupling differs from its mirror: derivation accepted the row")
-		}
-	})
-	t.Run("diagonal", func(t *testing.T) {
-		s := clone(t)
-		s.Val[s.RowPtr[r]] += 1
-		if _, err := newSystemStencil(s); err == nil {
-			t.Error("CSR diagonal differs from Diag: derivation accepted the row")
-		}
-	})
 }

@@ -24,8 +24,9 @@ func perturbStack(nx, ny int, withExtras bool) *Model {
 
 // TestStructureAssembleMatchesFull is the symbolic/value-split
 // contract: replaying the tape against a same-topology model must
-// reproduce the full assembly bit for bit — same pattern (shared
-// slices), same values (same floating-point accumulation order).
+// reproduce the full assembly bit for bit — same extras pattern
+// (shared slices), same values (same floating-point accumulation
+// order).
 func TestStructureAssembleMatchesFull(t *testing.T) {
 	for _, withExtras := range []bool{false, true} {
 		base, err := Assemble(mgStack(16, 12, withExtras))
@@ -49,17 +50,21 @@ func TestStructureAssembleMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatalf("structural assemble (extras=%v perturbed=%v): %v", withExtras, perturbed, err)
 			}
-			if &got.RowPtr[0] != &st.rowPtr[0] || &got.ColIdx[0] != &st.colIdx[0] {
-				t.Error("structural assembly copied the pattern instead of sharing it")
+			if withExtras && (&got.op.xPtr[0] != &st.xPtr[0] || &got.op.xCol[0] != &st.xCol[0]) {
+				t.Error("structural assembly copied the extras pattern instead of sharing it")
 			}
-			for i := range want.RowPtr {
-				if got.RowPtr[i] != want.RowPtr[i] {
-					t.Fatalf("RowPtr[%d]: %d != %d", i, got.RowPtr[i], want.RowPtr[i])
+			if len(got.op.xPtr) != len(want.op.xPtr) || len(got.op.xCol) != len(want.op.xCol) {
+				t.Fatalf("extras pattern: %d rows / %d entries, full assembly %d / %d",
+					len(got.op.xPtr), len(got.op.xCol), len(want.op.xPtr), len(want.op.xCol))
+			}
+			for i := range want.op.xPtr {
+				if got.op.xPtr[i] != want.op.xPtr[i] {
+					t.Fatalf("xPtr[%d]: %d != %d", i, got.op.xPtr[i], want.op.xPtr[i])
 				}
 			}
-			for i := range want.ColIdx {
-				if got.ColIdx[i] != want.ColIdx[i] {
-					t.Fatalf("ColIdx[%d]: %d != %d", i, got.ColIdx[i], want.ColIdx[i])
+			for i := range want.op.xCol {
+				if got.op.xCol[i] != want.op.xCol[i] {
+					t.Fatalf("xCol[%d]: %d != %d", i, got.op.xCol[i], want.op.xCol[i])
 				}
 			}
 			check := func(name string, a, b []float64) {
@@ -73,7 +78,10 @@ func TestStructureAssembleMatchesFull(t *testing.T) {
 					}
 				}
 			}
-			check("Val", got.Val, want.Val)
+			check("east", got.op.east, want.op.east)
+			check("north", got.op.north, want.op.north)
+			check("up", got.op.up, want.op.up)
+			check("xVal", got.op.xVal, want.op.xVal)
 			check("Diag", got.Diag, want.Diag)
 			check("Q", got.Q, want.Q)
 			check("Capacity", got.Capacity, want.Capacity)

@@ -27,7 +27,7 @@ import (
 type Stepper struct {
 	sys *System
 	dt  float64
-	// shifted holds the CSR values with C/Δt added on the diagonal.
+	// shifted is the system with C/Δt added on the diagonal.
 	shifted *System
 	// prec is the IC(0) factor of shifted; nil selects Jacobi.
 	prec Preconditioner
@@ -61,7 +61,7 @@ func NewStepper(sys *System, dt float64) (*Stepper, error) {
 		st.T[i] = sys.model.AmbientC
 	}
 	st.shifted = st.buildShifted()
-	ic, err := newIChol(st.shifted)
+	ic, err := newIChol(strictLower(st.shifted.op), st.shifted.Diag)
 	if err != nil {
 		return nil, err
 	}
@@ -70,31 +70,23 @@ func NewStepper(sys *System, dt float64) (*Stepper, error) {
 	return st, nil
 }
 
-// buildShifted copies the system and adds C/Δt to each diagonal. The
-// diagonal is the first stored entry of every CSR row (see Assemble).
-// The copy's stencil shares the system's couplings and takes the
-// shifted diagonal.
+// buildShifted copies the system's diagonal and adds C/Δt to each
+// entry. The copy's stencil shares the system's couplings and takes
+// the shifted diagonal.
 func (st *Stepper) buildShifted() *System {
 	src := st.sys
 	dst := &System{
-		N:      src.N,
-		RowPtr: src.RowPtr,
-		ColIdx: src.ColIdx,
-		Val:    append([]float64(nil), src.Val...),
-		Diag:   append([]float64(nil), src.Diag...),
-		Q:      make([]float64, src.N),
-		model:  src.model,
+		N:     src.N,
+		Diag:  append([]float64(nil), src.Diag...),
+		Q:     make([]float64, src.N),
+		model: src.model,
 	}
-	for r := 0; r < src.N; r++ {
-		shift := src.Capacity[r] / st.dt
-		dst.Val[src.RowPtr[r]] += shift
-		dst.Diag[r] += shift
+	for r := range dst.Diag {
+		dst.Diag[r] += src.Capacity[r] / st.dt
 	}
-	if src.op != nil {
-		op := *src.op
-		op.diag = dst.Diag
-		dst.op = &op
-	}
+	op := *src.op
+	op.diag = dst.Diag
+	dst.op = &op
 	return dst
 }
 

@@ -176,8 +176,8 @@ func TestFilmScaleStructuralTapeCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.Val) != len(ref.Val) {
-		t.Fatalf("tape and full assembly disagree on nnz: %d vs %d", len(sys.Val), len(ref.Val))
+	if len(sys.op.xVal) != len(ref.op.xVal) {
+		t.Fatalf("tape and full assembly disagree on the extras' nnz: %d vs %d", len(sys.op.xVal), len(ref.op.xVal))
 	}
 	for i := range sys.Diag {
 		if math.Abs(sys.Diag[i]-ref.Diag[i]) > 1e-12*math.Abs(ref.Diag[i]) {
