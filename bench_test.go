@@ -208,15 +208,10 @@ func BenchmarkSweepIndependent(b *testing.B) {
 }
 
 // BenchmarkSweepBatched runs the identical sweep on the batch path:
-// one assembled system per (coolant, depth) geometry pooled in a
-// SystemCache, re-solved per VFS step with warm-started CG.
+// one assembled system per (coolant, depth) search, re-solved per VFS
+// step with warm-started CG.
 func BenchmarkSweepBatched(b *testing.B) {
-	cache := thermal.NewSystemCache(64)
-	benchFreqSweepPath(b, func() *core.Planner {
-		p := core.NewPlanner()
-		p.Cache = cache
-		return p
-	})
+	benchFreqSweepPath(b, core.NewPlanner)
 }
 
 func benchFreqSweepPath(b *testing.B, mkPlanner func() *core.Planner) {
@@ -292,9 +287,9 @@ func benchSolvePrecond(b *testing.B, kind string) {
 				b.Fatal(err)
 			}
 			if kind == thermal.PrecondMG {
-				// Hierarchy setup is per-system and amortized by the
-				// SystemCache in production; exclude it here so the
-				// pair isolates per-solve cost.
+				// Hierarchy setup is per-system and amortized over a
+				// session's solves in production; exclude it here so
+				// the pair isolates per-solve cost.
 				if _, err := sys.Multigrid(); err != nil {
 					b.Fatal(err)
 				}

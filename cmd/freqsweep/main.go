@@ -17,7 +17,6 @@ import (
 	"waterimm/internal/material"
 	"waterimm/internal/power"
 	"waterimm/internal/report"
-	"waterimm/internal/thermal"
 )
 
 var (
@@ -60,9 +59,8 @@ func main() {
 	p := core.NewPlanner()
 	p.ThresholdC = threshold
 	p.Flip = *flagFlip
-	// Batch path: pool assembled systems across the sweep's points and
-	// let each point's search warm-start from the session basis.
-	p.Cache = thermal.NewSystemCache(8)
+	// Batch path: each point's search runs in one session and
+	// warm-starts from the session basis.
 	plans, err := p.MaxFrequencySweep(chip, maxChips, material.Coolants())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "freqsweep:", err)

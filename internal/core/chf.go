@@ -60,12 +60,12 @@ type TwoPhaseOutcome struct {
 	// converged two-phase field.
 	Violations int
 	// Result is the converged field (its model is private to this
-	// call — never pooled).
+	// call).
 	Result *thermal.Result
 }
 
 // TwoPhasePeak re-solves the stack at the given frequency with
-// boiling-crisis feedback: a fresh (never pooled) model is built, and
+// boiling-crisis feedback: a fresh, call-private model is built, and
 // thermal.SolveTwoPhase collapses the film coefficient of every
 // boundary cell whose flux exceeds its layer's CHF limit. Power is
 // assigned at the planner's leakage policy temperature — the same

@@ -89,7 +89,6 @@ func TestTwoPhasePeakMatchesSinglePhaseBelowCHF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	res, _, err := s.Solve(context.Background(), top.FHz)
 	if err != nil {
 		t.Fatal(err)
@@ -129,18 +128,75 @@ func TestTwoPhasePeakDegradesPastCHF(t *testing.T) {
 	}
 }
 
-// TestSessionKeySeesCHFScale: the assembly-pool key must distinguish
-// planners with different CHF scales, so a scaled audit never reuses a
-// differently-stamped pooled system.
-func TestSessionKeySeesCHFScale(t *testing.T) {
-	a, b := NewPlanner(), NewPlanner()
-	b.Params.CHFScale = 0.5
-	ka := a.sessionKey(power.LowPower, 1, material.Water)
-	kb := b.sessionKey(power.LowPower, 1, material.Water)
-	if ka == kb {
-		t.Error("session keys identical across CHFScale change")
+// TestGeomCacheCarriesNoCHFLimits: planners with different CHF scales
+// share one geometry's cached structure and nominal reference, which
+// must carry no boiling limits — each planner reports the same CHF
+// verdicts as it does with no cache at all.
+func TestGeomCacheCarriesNoCHFLimits(t *testing.T) {
+	ctx := context.Background()
+	chip := power.LowPower
+	top := chip.Steps()[len(chip.Steps())-1]
+	type outcome struct {
+		plan       Plan
+		violations int
+		twoPhase   TwoPhaseOutcome
 	}
-	if _, err := stack.Build(stack.Config{Params: b.Params, Coolant: material.Water, Dies: nil}); err == nil {
+	run := func(scale float64, g *GeomCache) (*Planner, outcome) {
+		p := NewPlanner()
+		p.Params.GridNX, p.Params.GridNY = 16, 16
+		p.Params.CHFScale = scale
+		p.Geoms = g
+		if err := p.EnsureGeomRef(ctx, chip, 1, material.Fluorinert); err != nil {
+			t.Fatal(err)
+		}
+		// Perturbed sessions borrow the reference's basis too.
+		p.Perturbed = true
+		plan, res, err := p.MaxFrequencyResultCtx(ctx, chip, 1, material.Fluorinert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == nil {
+			t.Fatalf("CHF scale %g: infeasible plan, no field to check", scale)
+		}
+		two, err := p.TwoPhasePeak(ctx, chip, 1, material.Fluorinert, top.FHz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		two.Result = nil
+		return p, outcome{plan, res.CHFViolations(), *two}
+	}
+
+	g := NewGeomCache(4)
+	var pinned []*geomRef
+	for _, scale := range []float64{1, 0.01} {
+		p, shared := run(scale, g)
+		_, alone := run(scale, nil)
+		pinned = append(pinned, p.pinned)
+		if shared.plan.Step != alone.plan.Step || shared.violations != alone.violations {
+			t.Errorf("CHF scale %g: shared cache gives step %v with %d violations, no cache %v with %d",
+				scale, shared.plan.Step, shared.violations, alone.plan.Step, alone.violations)
+		}
+		if d := math.Abs(shared.plan.PeakC - alone.plan.PeakC); d > 1e-4 {
+			t.Errorf("CHF scale %g: peaks differ by %.2e C", scale, d)
+		}
+		if shared.twoPhase != alone.twoPhase {
+			t.Errorf("CHF scale %g: two-phase outcome %+v with shared cache, %+v without",
+				scale, shared.twoPhase, alone.twoPhase)
+		}
+		if scale == 1 && shared.violations != 0 {
+			t.Errorf("stock CHF limits violated in %d cells", shared.violations)
+		}
+		if scale < 1 && shared.violations == 0 {
+			t.Error("CHF scale 0.01 reported no violations; this test would prove nothing")
+		}
+	}
+	if st := g.Stats(); st.Geometries != 1 || pinned[0] == nil || pinned[0] != pinned[1] {
+		t.Fatalf("the two planners did not share one geometry reference: %+v", st)
+	}
+
+	scaled := NewPlanner()
+	scaled.Params.CHFScale = 0.01
+	if _, err := stack.Build(stack.Config{Params: scaled.Params, Coolant: material.Water, Dies: nil}); err == nil {
 		t.Error("expected error for empty dies")
 	}
 }

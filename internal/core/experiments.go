@@ -59,13 +59,12 @@ func (f *FreqSweep) MaxChips(coolant string) int {
 }
 
 // sweep runs the planner across coolants and chip counts on the batch
-// path: one assembly cache spans all (coolant, depth) points, and each
-// point's frequency search runs in a primed session (superposition
-// basis + warm-started CG) inside MaxFrequencySweep.
+// path: each (coolant, depth) point's frequency search runs in one
+// primed session (one assembly, superposition basis, warm-started CG)
+// inside MaxFrequencySweep.
 func sweep(figure string, chip power.Model, thresholdC float64, maxChips int, coolants []material.Coolant) (*FreqSweep, error) {
 	p := NewPlanner()
 	p.ThresholdC = thresholdC
-	p.Cache = thermal.NewSystemCache(8)
 	plans, err := p.MaxFrequencySweep(chip, maxChips, coolants)
 	if err != nil {
 		return nil, err
@@ -342,9 +341,6 @@ func Fig15() ([]FlipPoint, error) {
 		for _, flip := range []bool{false, true} {
 			p := NewPlanner()
 			p.Flip = flip
-			// Every VFS step shares one geometry: without a cache each
-			// PeakAt would reassemble the conductance matrix.
-			p.Cache = thermal.NewSystemCache(2)
 			for _, s := range power.HighFrequency.Steps() {
 				peak, err := p.PeakAt(StackSpec{
 					Chip: power.HighFrequency, Chips: 4,

@@ -9,7 +9,6 @@ import (
 	"waterimm/internal/mcpat"
 	"waterimm/internal/npb"
 	"waterimm/internal/power"
-	"waterimm/internal/thermal"
 )
 
 // NPBExperiment reproduces one of the application-performance figures
@@ -58,9 +57,6 @@ func (e NPBExperiment) Run() ([]NPBResult, error) {
 		e.Scale = 1
 	}
 	planner := NewPlanner()
-	// The baseline coolant reappears in e.Coolants, so its search runs
-	// twice; the cache makes the second pass reuse the first assembly.
-	planner.Cache = thermal.NewSystemCache(8)
 	plan := func(c material.Coolant) (Plan, error) {
 		return planner.MaxFrequency(e.Chip, e.Chips, c)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"waterimm/internal/material"
@@ -30,47 +31,82 @@ func TestGeomCacheSymbolicReuse(t *testing.T) {
 	g := NewGeomCache(8)
 	nominal := fastPlanner()
 	nominal.Geoms = g
-	s, err := nominal.NewSession(power.LowPower, 2, material.Water)
-	if err != nil {
+	if _, err := nominal.NewSession(power.LowPower, 2, material.Water); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	st := g.Stats()
 	if st.SymbolicMisses != 1 || st.SymbolicHits != 0 || st.Geometries != 1 {
 		t.Fatalf("after seeding: %+v", st)
 	}
 
-	sp, err := perturbedPlanner(g).NewSession(power.LowPower, 2, material.Water)
-	if err != nil {
+	if _, err := perturbedPlanner(g).NewSession(power.LowPower, 2, material.Water); err != nil {
 		t.Fatal(err)
 	}
-	sp.Close()
 	st = g.Stats()
 	if st.SymbolicHits != 1 || st.SymbolicMisses != 1 || st.Geometries != 1 {
 		t.Fatalf("perturbed session missed the structural cache: %+v", st)
 	}
 }
 
-// TestPerturbedSkipsSystemPool pins the eviction-pressure contract: a
-// perturbed one-shot session must never Acquire from or Release to
-// the system pool — its value-unique key could not hit, and pooling
-// it would evict the hot shared geometries.
-func TestPerturbedSkipsSystemPool(t *testing.T) {
-	pool := thermal.NewSystemCache(4)
-	g := NewGeomCache(8)
-	p := perturbedPlanner(g)
-	p.Cache = pool
-	s, err := p.NewSession(power.LowPower, 2, material.Water)
-	if err != nil {
-		t.Fatal(err)
+// TestPerturbedGeomRefSurvivesEviction pins the seeded reference: a
+// planner that seeded its geometry's reference and is then perturbed
+// borrows that reference even after the cache evicted it (capacity 1,
+// a second geometry seeded in between), so the cell's bits and
+// iteration path do not depend on what else shared the cache.
+func TestPerturbedGeomRefSurvivesEviction(t *testing.T) {
+	ctx := context.Background()
+	type outcome struct {
+		plan  Plan
+		t     []float64
+		eval  float64
+		iters []int
 	}
-	if _, err := s.Peak(context.Background(), 1.2e9); err != nil {
-		t.Fatal(err)
+	run := func(evict bool) outcome {
+		g := NewGeomCache(1)
+		p := fastPlanner()
+		p.Geoms, p.Precond = g, thermal.PrecondMG
+		if err := p.EnsureGeomRef(ctx, power.LowPower, 2, material.Water); err != nil {
+			t.Fatal(err)
+		}
+		if evict {
+			other := fastPlanner()
+			other.Geoms, other.Precond = g, thermal.PrecondMG
+			if err := other.EnsureGeomRef(ctx, power.LowPower, 3, material.Water); err != nil {
+				t.Fatal(err)
+			}
+			if st := g.Stats(); st.Geometries != 1 {
+				t.Fatalf("capacity-1 cache holds %d geometries", st.Geometries)
+			}
+		}
+		var out outcome
+		p.OnSolve = func(st thermal.SolveStats) { out.iters = append(out.iters, st.Iterations) }
+		p.Perturbed = true
+		p.Params.DieK *= 1.21
+		p.Params.TIMK *= 0.87
+		p.Params.AmbientC = 31
+		plan, res, eval, err := p.MaxFrequencyEvalCtx(ctx, power.LowPower, 2, material.Water, 1.2e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == nil {
+			t.Fatal("infeasible plan, no field to compare")
+		}
+		if st := g.Stats(); st.PrecondReused != 1 {
+			t.Errorf("evict=%t: perturbed session did not borrow the seeded hierarchy: %+v", evict, st)
+		}
+		out.plan, out.t, out.eval = plan, res.T, eval
+		return out
 	}
-	s.Close()
-	st := pool.Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Idle != 0 {
-		t.Fatalf("perturbed session touched the system pool: %+v", st)
+	want, got := run(false), run(true)
+	if got.plan.Step != want.plan.Step || got.plan.PeakC != want.plan.PeakC || got.eval != want.eval {
+		t.Errorf("after eviction: step %v peak %v eval %v, want %v %v %v",
+			got.plan.Step, got.plan.PeakC, got.eval, want.plan.Step, want.plan.PeakC, want.eval)
+	}
+	if !reflect.DeepEqual(got.t, want.t) {
+		t.Error("after eviction the field differs from the run without it")
+	}
+	if !reflect.DeepEqual(got.iters, want.iters) {
+		t.Errorf("iterations per solve after eviction %v, want %v", got.iters, want.iters)
 	}
 }
 
@@ -136,7 +172,6 @@ func TestPerturbedBorrowsAndRefreshes(t *testing.T) {
 			t.Errorf("solve after the refresh took %d iterations, over the limit %d (all: %v)", n, limit, iters)
 		}
 	}
-	sp.Close()
 	st := g.Stats()
 	if st.PrecondReused != 1 || st.PrecondRefreshed != 1 {
 		t.Fatalf("borrow/refresh counters: %+v", st)
@@ -147,7 +182,6 @@ func TestPerturbedBorrowsAndRefreshes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
 	want, err := ss.Peak(ctx, 1.2e9)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +217,6 @@ func TestBorrowGuardStaysColdAtDefault(t *testing.T) {
 	if sp.borrowed == nil {
 		t.Error("mild perturbation tripped the refresh guard")
 	}
-	sp.Close()
 	if st := g.Stats(); st.PrecondRefreshed != 0 {
 		t.Errorf("refresh counted: %+v", st)
 	}
@@ -197,11 +230,9 @@ func TestGeomCacheEviction(t *testing.T) {
 		p := fastPlanner()
 		p.Geoms = g
 		p.Params.GridNX, p.Params.GridNY = grid, grid
-		s, err := p.NewSession(power.LowPower, 1, material.Water)
-		if err != nil {
+		if _, err := p.NewSession(power.LowPower, 1, material.Water); err != nil {
 			t.Fatalf("grid %d: %v", grid, err)
 		}
-		s.Close()
 	}
 	if st := g.Stats(); st.Geometries > 2 {
 		t.Fatalf("cache exceeded its capacity: %+v", st)

@@ -48,7 +48,6 @@ func TestScaledSessionMatchesOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if err := s.Prime(context.Background()); err != nil {
 		t.Fatal(err)
 	}

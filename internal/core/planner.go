@@ -34,12 +34,6 @@ type Planner struct {
 	// (and less conservative) than the worst-case default; an
 	// ablation knob for the methodology discussion in Section 4.3.
 	ConvergeLeakage bool
-	// Cache, when non-nil, pools assembled thermal systems across
-	// sessions (see thermal.SystemCache), so repeated solves of the
-	// same geometry — sweep cells, repeated service requests — skip
-	// matrix assembly. A nil cache still reuses the assembly within
-	// each frequency search; it just rebuilds per search.
-	Cache *thermal.SystemCache
 	// ColdStart disables cross-step system reuse and warm-started CG,
 	// re-assembling the model for every solve — the pre-batch
 	// baseline, kept for benchmarks and equivalence tests.
@@ -62,16 +56,22 @@ type Planner struct {
 	StatScale float64
 	// Geoms, when non-nil, shares per-geometry structural artifacts
 	// across sessions (see GeomCache): the symbolic assembly skeleton
-	// and, for perturbed sessions, the reference multigrid hierarchy.
+	// and, for perturbed sessions, the nominal reference. A nil Geoms
+	// assembles every session fully; each session still reuses its
+	// assembly across the solves of one frequency search.
 	Geoms *GeomCache
 	// Perturbed marks this planner as solving a one-shot
-	// parameter-perturbed sample (a Monte-Carlo cell). Perturbed
-	// sessions bypass the system pool — their per-sample keys would
-	// only evict the hot shared geometries — and borrow the
-	// geometry's nominal reference through Geoms (stale hierarchy,
-	// basis warm starts) instead of building everything themselves.
-	// Seed the reference with EnsureGeomRef on a nominal planner.
+	// parameter-perturbed sample (a Monte-Carlo cell): its sessions
+	// borrow the geometry's nominal reference (stale hierarchy, basis
+	// warm starts) instead of building everything themselves. Seed the
+	// reference with EnsureGeomRef on the nominal planner, then perturb
+	// that same planner so its sessions use the pinned reference.
 	Perturbed bool
+
+	// pinnedKey and pinned are the geometry reference EnsureGeomRef
+	// last found or built on this planner (see geomRef).
+	pinnedKey string
+	pinned    *geomRef
 }
 
 // powerAt is the chip-wide dynamic/static power split at one VFS step
@@ -126,13 +126,12 @@ func (p *Planner) Solve(spec StackSpec) (*thermal.Result, power.Step, error) {
 // threaded into the conjugate-gradient solver, so a cancelled request
 // (service timeout, client disconnect) abandons the solve promptly.
 // One-shot solves pay one assembly each; callers solving the same
-// geometry repeatedly should hold a Session (or set Cache) instead.
+// geometry repeatedly should hold a Session instead.
 func (p *Planner) SolveCtx(ctx context.Context, spec StackSpec) (*thermal.Result, power.Step, error) {
 	s, err := p.NewSession(spec.Chip, spec.Chips, spec.Coolant)
 	if err != nil {
 		return nil, power.Step{}, err
 	}
-	defer s.Close()
 	return s.Solve(ctx, spec.FHz)
 }
 
@@ -222,7 +221,6 @@ func (p *Planner) maxFrequency(ctx context.Context, chip power.Model, chips int,
 	if err != nil {
 		return Plan{}, nil, 0, err
 	}
-	defer s.Close()
 	// The search probes many VFS steps of one geometry: build the
 	// superposition basis up front so every probe is a near-free
 	// verification solve.

@@ -23,17 +23,15 @@ import (
 // planner's binary search costs one assembly instead of one per
 // solve, and warm starts cut the CG iteration count on top.
 //
-// Sessions acquire their assembled system from the planner's
-// SystemCache when one is configured, so concurrent sweep cells that
-// share a geometry (same stack depth and coolant, different
-// thresholds) also share assembly work across jobs. A session is not
-// safe for concurrent use; Close returns the system to the cache.
+// A session assembles its own system — through the planner's
+// GeomCache when one is configured, so same-topology sessions skip the
+// symbolic pattern search — and owns it until the session is garbage.
+// A session is not safe for concurrent use.
 type Session struct {
 	p       *Planner
 	chip    power.Model
 	chips   int
 	coolant material.Coolant
-	key     string
 
 	sys     *thermal.System
 	model   *thermal.Model
@@ -57,8 +55,6 @@ type Session struct {
 	// buildBasis. solves counts solveAt calls to trigger it lazily.
 	basis  *sessionBasis
 	solves int
-
-	closed bool
 }
 
 // sessionBasis exploits the linearity of both the thermal system and
@@ -84,27 +80,15 @@ type sessionBasis struct {
 	base, dyn, stat []float64
 }
 
-// sessionKey is the assembly-cache signature: everything the
-// conductance matrix depends on. Power assignment (VFS step, leakage
-// temperature, flip layout) deliberately stays out — those only move
-// the right-hand side.
-func (p *Planner) sessionKey(chip power.Model, chips int, coolant material.Coolant) string {
-	return fmt.Sprintf("v1|chip=%s|chips=%d|coolant=%+v|params=%+v", chip.Name, chips, coolant, p.Params)
-}
-
 // NewSession prepares a reusable solve context for the given stack
 // configuration. The planner's Params, Flip and leakage settings are
 // captured by reference: they must not change while the session is
-// live. Callers must Close the session to return the assembled system
-// to the planner's cache.
+// live.
 func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coolant) (*Session, error) {
 	if chips < 1 {
 		return nil, fmt.Errorf("core: need at least one chip, got %d", chips)
 	}
-	s := &Session{
-		p: p, chip: chip, chips: chips, coolant: coolant,
-		key: p.sessionKey(chip, chips, coolant),
-	}
+	s := &Session{p: p, chip: chip, chips: chips, coolant: coolant}
 	if p.ColdStart {
 		// Diagnostic baseline: every solve rebuilds from scratch.
 		return s, nil
@@ -118,39 +102,26 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 		s.flipped = base.Rotate180()
 	}
 	s.gkey = p.geomKey(chip, chips, coolant)
-	build := func() (*thermal.System, error) {
-		model, err := p.stackModel(coolant, chips, base, s.flipped)
-		if err != nil {
-			return nil, err
-		}
-		// Same-topology models reuse the geometry's cached sparsity
-		// pattern; a nil Geoms assembles fully.
-		return p.Geoms.AssembleModel(s.gkey, model)
-	}
-	var sys *thermal.System
 	if p.Perturbed {
-		// One-shot perturbed sample: skip the system pool entirely.
-		// Its value-unique key could never hit, and Release-ing it
-		// would evict the hot shared geometries (see Close). Borrow
-		// the geometry's nominal reference instead — basis warm
-		// starts plus, for MG-sized grids, the stale preconditioner.
-		s.ref = p.Geoms.borrowRef(s.gkey)
-		sys, err = build()
-	} else {
-		sys, err = p.Cache.Acquire(s.key, build)
+		// One-shot perturbed sample: borrow the geometry's nominal
+		// reference — basis warm starts plus, for MG-sized grids, the
+		// stale preconditioner.
+		s.ref = p.geomRef(s.gkey)
 	}
+	model, err := p.stackModel(coolant, chips, base, s.flipped)
 	if err != nil {
 		return nil, err
 	}
-	s.sys = sys
-	s.model = sys.Model()
-	// Resolve the preconditioner once per session: the multigrid
-	// hierarchy is cached on the system, so pooled systems carry it
-	// back and forth through the cache and pay setup only once;
-	// perturbed sessions borrow the geometry's reference hierarchy
-	// instead of building one per sample.
+	// Same-topology models reuse the geometry's cached sparsity
+	// pattern; a nil Geoms assembles fully.
+	if s.sys, err = p.Geoms.AssembleModel(s.gkey, model); err != nil {
+		return nil, err
+	}
+	s.model = s.sys.Model()
+	// Resolve the preconditioner once per session: perturbed sessions
+	// borrow the geometry's reference hierarchy instead of building
+	// one per sample.
 	if s.prec, err = s.resolvePrecond(); err != nil {
-		s.Close()
 		return nil, err
 	}
 	return s, nil
@@ -160,15 +131,15 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 // perturbed sessions borrow the geometry's nominal reference hierarchy
 // (a stale preconditioner: same structure, nominal values — still
 // SPD, so CG converges identically, with the iteration guard in
-// runSteady as the escape hatch); everyone else builds or reuses the
-// system's own hierarchy.
+// runSteady as the escape hatch); everyone else builds the system's
+// own hierarchy.
 func (s *Session) resolvePrecond() (thermal.Preconditioner, error) {
 	p := s.p
 	wantsMG, err := s.sys.WantsMG(p.Precond)
 	if err != nil || !wantsMG {
 		return nil, err
 	}
-	if p.Perturbed && s.ref != nil && s.ref.mg != nil {
+	if s.ref != nil && s.ref.mg != nil {
 		s.borrowed = s.ref.mg.Borrow()
 		s.refIters = s.ref.iters
 		p.Geoms.noteReused()
@@ -206,23 +177,6 @@ func (s *Session) runSteady(opt thermal.SolveOptions) ([]float64, error) {
 		}
 	}
 	return t, err
-}
-
-// Close returns the assembled system to the planner's cache — except
-// for perturbed one-shot sessions, whose value-unique systems are
-// dropped: pooling them would evict the hot shared geometries from
-// the LRU without any chance of a future hit.
-func (s *Session) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.sys != nil {
-		if !s.p.Perturbed {
-			s.p.Cache.Release(s.key, s.sys)
-		}
-		s.sys, s.model = nil, nil
-	}
 }
 
 // setPower assigns the given chip-wide dynamic/static power split to

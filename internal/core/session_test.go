@@ -7,7 +7,6 @@ import (
 
 	"waterimm/internal/material"
 	"waterimm/internal/power"
-	"waterimm/internal/thermal"
 )
 
 // TestWarmStartMatchesColdStart is the equivalence guarantee behind
@@ -32,7 +31,6 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 	for _, tc := range cases {
 		warm := fastPlanner()
 		warm.Flip = tc.flip
-		warm.Cache = thermal.NewSystemCache(4)
 		cold := fastPlanner()
 		cold.Flip = tc.flip
 		cold.ColdStart = true
@@ -76,7 +74,6 @@ func TestLeakageFixedPointMatchesColdStart(t *testing.T) {
 	spec := StackSpec{Chip: power.LowPower, Chips: 4, Coolant: material.Water, FHz: 1.5e9}
 	warm := fastPlanner()
 	warm.ConvergeLeakage = true
-	warm.Cache = thermal.NewSystemCache(4)
 	cold := fastPlanner()
 	cold.ConvergeLeakage = true
 	cold.ColdStart = true
@@ -94,29 +91,6 @@ func TestLeakageFixedPointMatchesColdStart(t *testing.T) {
 	}
 }
 
-// TestAssemblyCacheReused: two searches over the same geometry must
-// assemble the conductance system once.
-func TestAssemblyCacheReused(t *testing.T) {
-	p := fastPlanner()
-	p.Cache = thermal.NewSystemCache(4)
-	for i := 0; i < 2; i++ {
-		if _, err := p.MaxFrequency(power.LowPower, 2, material.Water); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := p.Cache.Stats()
-	if st.Misses != 1 || st.Hits < 1 {
-		t.Fatalf("cache stats after two identical searches: %+v", st)
-	}
-	// A different depth is a different system: one more miss.
-	if _, err := p.MaxFrequency(power.LowPower, 3, material.Water); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Cache.Stats(); st.Misses != 2 {
-		t.Fatalf("cache stats after a third, different search: %+v", st)
-	}
-}
-
 // TestSessionBasisLifecycle pins the lazy-build contract: no basis on
 // the first solve, a basis from the second on, and Prime building it
 // eagerly.
@@ -128,7 +102,6 @@ func TestSessionBasisLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lazy.Close()
 	if _, err := lazy.Peak(ctx, 1.5e9); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +119,6 @@ func TestSessionBasisLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eager.Close()
 	if err := eager.Prime(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,10 @@ import (
 
 // GeomCache shares per-geometry structural artifacts across sessions
 // and jobs: the symbolic assembly skeleton (thermal.Structure) and a
-// reference multigrid hierarchy for stale-preconditioner reuse. It is
-// the structural complement of thermal.SystemCache — where the system
-// pool hands out whole assembled systems under *value* identity (a
-// Monte-Carlo run's perturbed samples all miss it), this cache is
-// keyed by *topology* alone, so every perturbed sample of a geometry
-// hits it:
+// nominal reference (multigrid hierarchy and superposition basis) for
+// stale-preconditioner reuse. It is keyed by *topology* alone, so every
+// session of a geometry hits it, whatever its parameter values — a
+// Monte-Carlo run's perturbed samples included:
 //
 //   - value-only reassembly through the cached Structure skips the
 //     symbolic pattern search (assembly is comparable in cost to a
@@ -35,8 +33,10 @@ import (
 //
 // The reference is seeded deterministically from nominal parameter
 // values by EnsureGeomRef, never from whichever perturbed sample
-// happens to arrive first, so Monte-Carlo statistics stay bitwise
-// reproducible under concurrent scheduling.
+// happens to arrive first, and EnsureGeomRef pins it on its planner,
+// so eviction between seeding and solving cannot strand the sample:
+// Monte-Carlo statistics stay bitwise reproducible under concurrent
+// scheduling and cache pressure.
 //
 // Safe for concurrent use. A nil *GeomCache is valid and shares
 // nothing — every caller falls back to the full per-session paths.
@@ -55,9 +55,17 @@ type geomEntry struct {
 	structure *thermal.Structure
 	ref       *geomRef
 	// building serializes concurrent EnsureGeomRef calls: the first
-	// caller builds the nominal reference while later ones block on the
-	// channel instead of duplicating the work.
-	building chan struct{}
+	// caller builds the nominal reference while later ones wait for it
+	// instead of duplicating the work.
+	building *refBuild
+}
+
+// refBuild is one in-flight reference build. ref is set (nil when the
+// build failed) before done is closed, so waiters pin the builder's
+// reference even if the entry is evicted meanwhile.
+type refBuild struct {
+	done chan struct{}
+	ref  *geomRef
 }
 
 // geomRef is a geometry's shared nominal reference: the artifacts a
@@ -95,16 +103,16 @@ func NewGeomCache(capacity int) *GeomCache {
 	return &GeomCache{cap: capacity, geoms: make(map[string]*geomEntry)}
 }
 
-// geomKey is the topology signature of a session's geometry: unlike
-// sessionKey it excludes every parameter *value*, so all perturbed
-// samples of one geometry share the entry. Values that could change
-// the sparsity pattern anyway (a coefficient crossing zero) are
-// caught by the structure's own tape guard, which falls back to full
-// assembly. The key must cover every field the service's nominal
-// planner (stackPlanner) sets from the request, flip included: the
-// nominal reference's basis is built under that layout, and a
-// reference shared across layouts would make borrowers' results
-// depend on which layout seeded it first.
+// geomKey is the topology signature of a session's geometry: it
+// excludes every parameter *value*, so all perturbed samples of one
+// geometry share the entry. Values that could change the sparsity
+// pattern anyway (a coefficient crossing zero) are caught by the
+// structure's own tape guard, which falls back to full assembly. The
+// key must cover every field the service's nominal planner
+// (stackPlanner) sets from the request, flip included: the nominal
+// reference's basis is built under that layout, and a reference shared
+// across layouts would make borrowers' results depend on which layout
+// seeded it first.
 func (p *Planner) geomKey(chip power.Model, chips int, coolant material.Coolant) string {
 	return fmt.Sprintf("v1|chip=%s|chips=%d|coolant=%s|grid=%dx%d|flip=%t",
 		chip.Name, chips, coolant.Name, p.Params.GridNX, p.Params.GridNY, p.Flip)
@@ -178,12 +186,17 @@ func (g *GeomCache) AssembleModel(key string, m *thermal.Model) (*thermal.System
 	return sys, nil
 }
 
-// borrowRef returns the geometry's nominal reference, or nil when
-// EnsureGeomRef has not seeded one yet. Callers must use
+// geomRef returns the geometry's nominal reference for a session: the
+// one EnsureGeomRef pinned on this planner when the key matches, else
+// the cache's (nil when none is seeded). Callers must use
 // Borrow()/RefreshedCopy() on ref.mg — never Apply it directly — since
 // other sessions solve with it concurrently; basis fields are
 // read-only.
-func (g *GeomCache) borrowRef(key string) *geomRef {
+func (p *Planner) geomRef(key string) *geomRef {
+	if p.pinned != nil && p.pinnedKey == key {
+		return p.pinned
+	}
+	g := p.Geoms
 	if g == nil {
 		return nil
 	}
@@ -205,13 +218,17 @@ func (g *GeomCache) noteReused() {
 
 // EnsureGeomRef builds and registers the geometry's shared nominal
 // reference — multigrid hierarchy, superposition basis and iteration
-// baseline — unless one exists. The receiver must be a *nominal*
-// planner for the geometry (same grid and flip layout as the perturbed
-// samples, unperturbed parameter values): building the reference from
-// nominal values is what makes every borrower's iteration path, and
-// therefore the Monte-Carlo statistics, deterministic regardless of
-// cell scheduling. Concurrent callers for one geometry coalesce into a
-// single build. A nil Geoms (or a ColdStart planner) is a no-op.
+// baseline — unless one exists, and pins the reference it found or
+// built on the receiver: perturbed sessions of the same geometry on
+// this planner borrow the pinned reference even if the cache evicts
+// it meanwhile. The receiver must be a *nominal* planner for the
+// geometry (same grid and flip layout as the perturbed samples,
+// unperturbed parameter values), and may be perturbed afterwards:
+// building the reference from nominal values is what makes every
+// borrower's iteration path, and therefore the Monte-Carlo statistics,
+// deterministic regardless of cell scheduling. Concurrent callers for
+// one geometry coalesce into a single build. A nil Geoms (or a
+// ColdStart planner) is a no-op.
 func (p *Planner) EnsureGeomRef(ctx context.Context, chip power.Model, chips int, coolant material.Coolant) error {
 	g := p.Geoms
 	if g == nil || p.ColdStart || p.Perturbed {
@@ -220,22 +237,25 @@ func (p *Planner) EnsureGeomRef(ctx context.Context, chip power.Model, chips int
 	key := p.geomKey(chip, chips, coolant)
 	g.mu.Lock()
 	e := g.entryLocked(key)
-	if e.ref != nil {
+	if ref := e.ref; ref != nil {
 		g.mu.Unlock()
+		p.pinnedKey, p.pinned = key, ref
 		return nil
 	}
-	if e.building != nil {
-		ch := e.building
+	if b := e.building; b != nil {
 		g.mu.Unlock()
 		select {
-		case <-ch: // builder finished (or failed; borrowers fall back)
+		case <-b.done: // builder finished (or failed; borrowers fall back)
+			if b.ref != nil {
+				p.pinnedKey, p.pinned = key, b.ref
+			}
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-	ch := make(chan struct{})
-	e.building = ch
+	b := &refBuild{done: make(chan struct{})}
+	e.building = b
 	g.mu.Unlock()
 
 	ref, err := p.buildGeomRef(ctx, chip, chips, coolant)
@@ -243,13 +263,22 @@ func (p *Planner) EnsureGeomRef(ctx context.Context, chip power.Model, chips int
 	// Re-fetch: the entry may have been evicted and recreated while we
 	// were building outside the lock.
 	e = g.entryLocked(key)
-	e.building = nil
-	if err == nil && e.ref == nil {
-		e.ref = ref
+	if e.building == b {
+		e.building = nil
+	}
+	if err == nil {
+		b.ref = ref
+		if e.ref == nil {
+			e.ref = ref
+		}
 	}
 	g.mu.Unlock()
-	close(ch)
-	return err
+	close(b.done)
+	if err != nil {
+		return err
+	}
+	p.pinnedKey, p.pinned = key, ref
+	return nil
 }
 
 // buildGeomRef runs one nominal session to completion of its basis and
@@ -273,15 +302,14 @@ func (p *Planner) buildGeomRef(ctx context.Context, chip power.Model, chips int,
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	if err := s.Prime(ctx); err != nil {
 		return nil, err
 	}
 	ref := &geomRef{iters: maxIters, basis: s.basis, ambientC: np.Params.AmbientC}
 	if wants, werr := s.sys.WantsMG(np.Precond); werr == nil && wants {
 		// Multigrid() is cached on the system, so this is the hierarchy
-		// the nominal session already built (and the pooled system will
-		// keep carrying); borrowers take race-free Borrow() copies.
+		// the nominal session already built; borrowers take race-free
+		// Borrow() copies.
 		if mg, merr := s.sys.Multigrid(); merr == nil {
 			ref.mg = mg
 		}

@@ -37,18 +37,20 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 	if err != nil {
 		return nil, err
 	}
+	p := e.stackPlanner(r)
 	if r.Perturb != nil {
 		// Seed the geometry's shared nominal reference (hierarchy +
 		// basis) before the perturbed cell solves: a one-time cost per
 		// geometry that every sample then borrows. Building it from
 		// nominal values — never from whichever sample got here first —
 		// keeps Monte-Carlo statistics bitwise reproducible under
-		// concurrent cell scheduling.
-		if err := e.stackPlanner(r).EnsureGeomRef(ctx, chip, r.Chips, coolant); err != nil {
+		// concurrent cell scheduling. The nominal planner pins the
+		// reference, so perturbing and solving on the same planner
+		// borrows it even if the cache evicts it meanwhile.
+		if err := p.EnsureGeomRef(ctx, chip, r.Chips, coolant); err != nil {
 			return nil, err
 		}
 	}
-	p := e.stackPlanner(r)
 	p.ThresholdC = r.ThresholdC
 	p.ConvergeLeakage = r.ConvergeLeakage
 	applyPerturb(p, &coolant, r.Perturb)
@@ -164,12 +166,12 @@ func (e *Engine) resolveTwoPhase(ctx context.Context, p *core.Planner, chip powe
 }
 
 // stackPlanner returns the nominal planner of a plan request's stack:
-// its flip layout and grid, the engine-wide CHF scale, system pool,
-// structural cache and solve observer — everything but the threshold,
-// leakage policy and perturbation. It is both the base of runPlan's
-// planner and the planner that seeds a perturbed geometry's nominal
-// reference, so the two cannot drift apart; core's geomKey must cover
-// every request field set here.
+// its flip layout and grid, the engine-wide CHF scale, structural
+// cache and solve observer — everything but the threshold, leakage
+// policy and perturbation. runPlan seeds a perturbed geometry's
+// nominal reference on it before setting those, so seed and solve
+// cannot drift apart; core's geomKey must cover every request field
+// set here.
 func (e *Engine) stackPlanner(r *api.PlanRequest) *core.Planner {
 	p := core.NewPlanner()
 	p.Flip = r.Flip
@@ -178,13 +180,9 @@ func (e *Engine) stackPlanner(r *api.PlanRequest) *core.Planner {
 	// built model carries the (possibly margin-adjusted) boiling
 	// limits; 0 means the literature value.
 	p.Params.CHFScale = e.cfg.CHFScale
-	// The engine-wide assembly cache: concurrent jobs over the same
-	// geometry (sweep cells differing only in threshold, repeated
-	// requests) share the assembled conductance system.
-	p.Cache = e.sysCache
-	// The structural cache rides alongside: perturbed Monte-Carlo
-	// cells reuse the geometry's sparsity skeleton and borrow its
-	// reference multigrid hierarchy (nil when disabled by config).
+	// The structural cache: every job over a geometry reuses its
+	// sparsity skeleton, and perturbed Monte-Carlo cells borrow its
+	// nominal reference (nil when disabled by config).
 	p.Geoms = e.geoms
 	// Every CG solve reports its iteration count and preconditioner
 	// kind to /v1/metrics (observeSolve is lock-protected, so the
@@ -197,18 +195,13 @@ func (e *Engine) stackPlanner(r *api.PlanRequest) *core.Planner {
 // on the planner and coolant: scale factors over material
 // conductivities, film coefficients and chip power, plus an absolute
 // inlet temperature. The geometry scales change the planner's stack
-// parameters (and coolant), so a perturbed cell gets its own
-// assembly-cache identity; the power scales ride the planner and stay
-// exact under basis superposition.
+// parameters (and coolant) but not the topology, so a perturbed cell
+// still reassembles through the geometry's cached skeleton; the power
+// scales ride the planner and stay exact under basis superposition.
 func applyPerturb(p *core.Planner, coolant *material.Coolant, pb *api.Perturb) {
 	if pb == nil {
 		return
 	}
-	// A perturbed sample is a one-shot system: its parameter values
-	// are unique to this draw, so pooling it would only evict the
-	// reusable nominal geometries from the SystemCache. Perturbed
-	// sessions assemble outside the pool (via the structural cache's
-	// value-only path) and drop their system on Close.
 	p.Perturbed = true
 	scale := func(dst *float64, s float64) {
 		if s > 0 {

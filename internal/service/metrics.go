@@ -212,6 +212,14 @@ func (m *metrics) add(counter *uint64, n uint64) {
 	m.mu.Unlock()
 }
 
+// retiredAssembly is the shape of the retired system-pool counters.
+// No session pools whole systems any more, so both stay zero; the
+// field is kept so existing readers of /v1/metrics still decode it.
+type retiredAssembly struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+}
+
 // Snapshot is a consistent copy of the metrics registry plus the
 // engine's instantaneous gauges, shaped for JSON and expvar.
 type Snapshot struct {
@@ -306,9 +314,9 @@ type Snapshot struct {
 
 	Workers int `json:"workers"`
 
-	// Assembly reports the shared thermal-system pool (hits mean a
-	// planner job skipped matrix assembly entirely).
-	Assembly thermal.CacheStats `json:"assembly"`
+	// Assembly is retired and always zero (see retiredAssembly); the
+	// structural counters below report assembly reuse.
+	Assembly retiredAssembly `json:"assembly"`
 
 	// Structural-reuse counters (the Monte-Carlo fast path; all zero
 	// under Config.DisableStructuralReuse). GeomEntries gauges distinct

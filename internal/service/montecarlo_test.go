@@ -258,7 +258,7 @@ func TestMonteCarloRepeatIsCacheHit(t *testing.T) {
 }
 
 // coldSolveCell solves one sample cell the naive way: a fresh cold
-// planner per cell — no session superposition, no assembly cache, no
+// planner per cell — no session superposition, no structural cache, no
 // dedup. This is the baseline the orchestrated montecarlo path is
 // benchmarked against.
 func coldSolveCell(ctx context.Context, r *api.PlanRequest) (float64, error) {

@@ -14,7 +14,6 @@ import (
 	"waterimm/internal/faultinject"
 	"waterimm/internal/mc"
 	"waterimm/internal/rcache"
-	"waterimm/internal/thermal"
 )
 
 // Config sizes the engine. The zero value gets sensible defaults.
@@ -32,10 +31,10 @@ type Config struct {
 	// for status/result lookups before the oldest are forgotten.
 	// Default 4096.
 	MaxFinishedJobs int
-	// AssemblyCacheEntries bounds the pool of assembled thermal
-	// systems shared across planner jobs (thermal.SystemCache), so
-	// jobs that revisit a geometry — sweep cells, repeated plan
-	// requests — skip matrix assembly. Default 64.
+	// AssemblyCacheEntries is ignored. It bounded a retired pool of
+	// assembled thermal systems; jobs now share assembly work through
+	// the structural cache (see DisableStructuralReuse). Kept so
+	// existing configurations still compile.
 	AssemblyCacheEntries int
 	// JobDeadline is the wall-clock budget of every job, covering
 	// queue wait and execution: the job's context expires when it
@@ -85,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFinishedJobs <= 0 {
 		c.MaxFinishedJobs = 4096
-	}
-	if c.AssemblyCacheEntries <= 0 {
-		c.AssemblyCacheEntries = 64
 	}
 	return c
 }
@@ -271,10 +267,6 @@ type Engine struct {
 	baseCtx       context.Context
 	abortAll      context.CancelFunc
 
-	// sysCache pools assembled thermal systems across planner jobs;
-	// it has its own synchronization.
-	sysCache *thermal.SystemCache
-
 	// geoms shares per-geometry structural artifacts (sparsity
 	// skeletons, reference multigrid hierarchies) across jobs — the
 	// Monte-Carlo fast path. nil when Config.DisableStructuralReuse
@@ -301,7 +293,6 @@ func New(cfg Config) *Engine {
 		queue:    make(chan *job, cfg.QueueDepth),
 		baseCtx:  ctx,
 		abortAll: cancel,
-		sysCache: thermal.NewSystemCache(cfg.AssemblyCacheEntries),
 		disk:     cfg.DiskCache,
 		metrics:  newMetrics(),
 	}
@@ -956,7 +947,6 @@ func (e *Engine) Metrics() Snapshot {
 	s.Workers = e.cfg.Workers
 	s.RetryAfterHintS = e.retryAfterLocked().Seconds()
 	e.mu.Unlock()
-	s.Assembly = e.sysCache.Stats()
 	gs := e.geoms.Stats() // nil-safe: zeros when structural reuse is disabled
 	s.GeomEntries = gs.Geometries
 	s.AssemblySymbolicHits = gs.SymbolicHits

@@ -129,54 +129,3 @@ func TestMonteCarloRunToRunDeterministic(t *testing.T) {
 		t.Errorf("montecarlo statistics diverge run to run:\n%+v\n%+v", a, b)
 	}
 }
-
-// TestPerturbedCellsSpareSystemPool is the eviction-pressure
-// regression: a montecarlo run's one-shot perturbed systems must not
-// cycle through the (deliberately tiny) system pool — the nominal
-// geometry a concurrent plan workload relies on stays resident.
-func TestPerturbedCellsSpareSystemPool(t *testing.T) {
-	e := New(Config{AssemblyCacheEntries: 1})
-	defer e.Close()
-
-	// Seed the pool with the nominal geometry.
-	nominal := &api.PlanRequest{Chip: "lp", Chips: 1, Coolant: "water", GridNX: 8, GridNY: 8}
-	in, err := e.Submit(nominal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, e, in.ID)
-	before := e.Metrics().Assembly
-
-	// 24 perturbed sample cells against a pool of capacity 1.
-	mcIn, err := e.Submit(mcServiceRequest(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := waitDone(t, e, mcIn.ID)
-	if got.State != StateDone {
-		t.Fatalf("state %s, error %q", got.State, got.Error)
-	}
-	after := e.Metrics().Assembly
-	if after.Evictions != before.Evictions {
-		t.Errorf("perturbed cells churned the system pool: evictions %d -> %d",
-			before.Evictions, after.Evictions)
-	}
-	if after.Misses != before.Misses {
-		t.Errorf("perturbed cells acquired from the system pool: misses %d -> %d",
-			before.Misses, after.Misses)
-	}
-
-	// The nominal geometry must still be resident: a same-geometry,
-	// different-threshold request (a fresh result key) is a pool hit.
-	again := &api.PlanRequest{Chip: "lp", Chips: 1, Coolant: "water", GridNX: 8, GridNY: 8, ThresholdC: 75}
-	in2, err := e.Submit(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, e, in2.ID)
-	final := e.Metrics().Assembly
-	if final.Hits != after.Hits+1 {
-		t.Errorf("nominal geometry was not resident after the montecarlo run: hits %d -> %d",
-			after.Hits, final.Hits)
-	}
-}

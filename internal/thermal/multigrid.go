@@ -49,10 +49,10 @@ import (
 // applies unchanged.
 //
 // A Multigrid is built once per assembled System and cached on it, so
-// pooled systems in a SystemCache amortize the setup across every
-// warm solve. Apply reuses per-level work buffers and is therefore
-// NOT safe for concurrent use — which matches the System contract
-// (exclusive ownership between Acquire and Release). Borrow returns a
+// a session amortizes the setup across every warm solve of its
+// frequency search. Apply reuses per-level work buffers and is
+// therefore NOT safe for concurrent use — which matches the System
+// contract (one owner at a time). Borrow returns a
 // buffer-private view for a second owner; RefreshedCopy rebuilds the
 // values under the same structure for a perturbed sibling system.
 type Multigrid struct {
@@ -110,7 +110,7 @@ const mgDenseCap = 8192
 // Multigrid returns the system's cached V-cycle preconditioner,
 // building the hierarchy on first use. The hierarchy depends only on
 // the conductance matrix, so it stays valid across RefreshQ /
-// UpdatePower and rides along with pooled systems in a SystemCache.
+// UpdatePower for every solve of the system.
 func (s *System) Multigrid() (*Multigrid, error) {
 	if s.mg != nil {
 		return s.mg, nil

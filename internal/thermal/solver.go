@@ -48,8 +48,8 @@ const mgAutoThreshold = 8192
 // SelectPreconditioner resolves a preconditioner kind ("", "auto",
 // "jacobi", "mg") for this system. A nil result means the built-in
 // Jacobi path. The multigrid hierarchy is built on first selection and
-// cached on the System, so systems pooled in a SystemCache pay setup
-// once across all the solves that reuse them.
+// cached on the System, so a system pays setup once across all of its
+// solves.
 func (s *System) SelectPreconditioner(kind string) (Preconditioner, error) {
 	mg, err := s.WantsMG(kind)
 	if err != nil || !mg {
