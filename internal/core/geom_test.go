@@ -52,7 +52,10 @@ func TestGeomCacheSymbolicReuse(t *testing.T) {
 // planner that seeded its geometry's reference and is then perturbed
 // borrows that reference even after the cache evicted it (capacity 1,
 // a second geometry seeded in between), so the cell's bits and
-// iteration path do not depend on what else shared the cache.
+// iteration path do not depend on what else shared the cache. The
+// borrowed basis must show in the iterations: the three basis solves
+// warm-started from it take fewer than the same planner's cold basis
+// solves with no cache at all.
 func TestPerturbedGeomRefSurvivesEviction(t *testing.T) {
 	ctx := context.Background()
 	type outcome struct {
@@ -61,12 +64,18 @@ func TestPerturbedGeomRefSurvivesEviction(t *testing.T) {
 		eval  float64
 		iters []int
 	}
-	run := func(evict bool) outcome {
-		g := NewGeomCache(1)
+	// run solves the perturbed cell; seed seeds (and evict then
+	// evicts) the geometry's reference first, !seed runs with a nil
+	// Geoms.
+	run := func(seed, evict bool) outcome {
 		p := fastPlanner()
-		p.Geoms, p.Precond = g, thermal.PrecondMG
-		if err := p.EnsureGeomRef(ctx, power.LowPower, 2, material.Water); err != nil {
-			t.Fatal(err)
+		p.Precond = thermal.PrecondMG
+		g := NewGeomCache(1)
+		if seed {
+			p.Geoms = g
+			if err := p.EnsureGeomRef(ctx, power.LowPower, 2, material.Water); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if evict {
 			other := fastPlanner()
@@ -91,13 +100,13 @@ func TestPerturbedGeomRefSurvivesEviction(t *testing.T) {
 		if res == nil {
 			t.Fatal("infeasible plan, no field to compare")
 		}
-		if st := g.Stats(); st.PrecondReused != 1 {
-			t.Errorf("evict=%t: perturbed session did not borrow the seeded hierarchy: %+v", evict, st)
+		if len(out.iters) < 3 {
+			t.Fatalf("seed=%t evict=%t: %d solves, want the three basis solves first", seed, evict, len(out.iters))
 		}
 		out.plan, out.t, out.eval = plan, res.T, eval
 		return out
 	}
-	want, got := run(false), run(true)
+	want, got, cold := run(true, false), run(true, true), run(false, false)
 	if got.plan.Step != want.plan.Step || got.plan.PeakC != want.plan.PeakC || got.eval != want.eval {
 		t.Errorf("after eviction: step %v peak %v eval %v, want %v %v %v",
 			got.plan.Step, got.plan.PeakC, got.eval, want.plan.Step, want.plan.PeakC, want.eval)
@@ -108,117 +117,48 @@ func TestPerturbedGeomRefSurvivesEviction(t *testing.T) {
 	if !reflect.DeepEqual(got.iters, want.iters) {
 		t.Errorf("iterations per solve after eviction %v, want %v", got.iters, want.iters)
 	}
+	basisIters := func(o outcome) int { return o.iters[0] + o.iters[1] + o.iters[2] }
+	if w, c := basisIters(want), basisIters(cold); w >= c {
+		t.Errorf("basis solves took %d iterations on the seeded reference, %d without one: the pinned basis went unused (seeded %v, cold %v)",
+			w, c, want.iters, cold.iters)
+	}
 }
 
-// TestPerturbedBorrowsAndRefreshes walks the stale-preconditioner
-// lifecycle end to end: EnsureGeomRef seeds the geometry's nominal
-// reference, a perturbed session borrows its hierarchy and basis, and
-// a perturbation at the edge of the API's window (die_k ×20) drives
-// the first borrowed solve past the default guard (2× the nominal
-// baseline plus 4), which refreshes the hierarchy's values — with
-// every field matching an independent solve throughout.
-func TestPerturbedBorrowsAndRefreshes(t *testing.T) {
-	g := NewGeomCache(8)
+// TestPerturbedStiffDieMatchesIndependentSolve: a perturbation at
+// the edge of the API's window (die_k ×20) warm-started from the
+// seeded nominal reference converges to the same peak as an
+// independent session with no cache — the reference changes iteration
+// counts, never results.
+func TestPerturbedStiffDieMatchesIndependentSolve(t *testing.T) {
 	ctx := context.Background()
-
+	g := NewGeomCache(8)
 	nominal := fastPlanner()
 	nominal.Geoms = g
 	nominal.Precond = thermal.PrecondMG
 	if err := nominal.EnsureGeomRef(ctx, power.LowPower, 2, material.Water); err != nil {
 		t.Fatal(err)
 	}
-	if st := g.Stats(); st.PrecondReused != 0 {
-		t.Fatalf("seeding the reference counted as a borrow: %+v", st)
-	}
 
-	stiffDie := func(g *GeomCache) *Planner {
+	peak := func(g *GeomCache) float64 {
 		p := fastPlanner()
 		p.Geoms, p.Perturbed, p.Precond = g, true, thermal.PrecondMG
 		p.Params.DieK *= 20
-		return p
-	}
-	pp := stiffDie(g)
-	var iters []int
-	pp.OnSolve = func(st thermal.SolveStats) { iters = append(iters, st.Iterations) }
-	sp, err := pp.NewSession(power.LowPower, 2, material.Water)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.borrowed == nil {
-		t.Fatal("perturbed MG session did not borrow the reference hierarchy")
-	}
-	if sp.refBasisFields() == nil {
-		t.Fatal("perturbed session did not borrow the nominal basis")
-	}
-	limit := 2*sp.refIters + 4
-	peak, err := sp.Peak(ctx, 1.2e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.borrowed != nil {
-		t.Fatalf("die_k ×20 did not trip the default guard (limit %d, iterations %v)", limit, iters)
-	}
-	// The refreshed hierarchy must bring later solves (the basis
-	// build and the verification solve) back under the limit.
-	if _, err := sp.Peak(ctx, 1.2e9); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("iterations %v, limit %d", iters, limit)
-	if len(iters) < 2 || iters[0] <= limit {
-		t.Fatalf("want a first solve over the limit %d, got %v", limit, iters)
-	}
-	for _, n := range iters[1:] {
-		if n > limit {
-			t.Errorf("solve after the refresh took %d iterations, over the limit %d (all: %v)", n, limit, iters)
+		s, err := p.NewSession(power.LowPower, 2, material.Water)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if (g != nil) != (s.refBasisFields() != nil) {
+			t.Fatalf("cache %t: borrowed basis present = %t", g != nil, s.refBasisFields() != nil)
+		}
+		v, err := s.Peak(ctx, 1.2e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	st := g.Stats()
-	if st.PrecondReused != 1 || st.PrecondRefreshed != 1 {
-		t.Fatalf("borrow/refresh counters: %+v", st)
-	}
-
-	// The structural path changes iteration counts, never results.
-	ss, err := stiffDie(nil).NewSession(power.LowPower, 2, material.Water)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ss.Peak(ctx, 1.2e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(peak - want); d > 1e-4 {
-		t.Errorf("borrowed-path peak differs from independent solve by %.2e C", d)
-	}
-}
-
-// TestBorrowGuardStaysColdAtDefault: with the default factor and a
-// healthy baseline, a mild perturbation must keep the borrowed
-// hierarchy (no refresh) — the fast path actually stays fast.
-func TestBorrowGuardStaysColdAtDefault(t *testing.T) {
-	g := NewGeomCache(8)
-	ctx := context.Background()
-
-	nominal := fastPlanner()
-	nominal.Geoms = g
-	nominal.Precond = thermal.PrecondMG
-	if err := nominal.EnsureGeomRef(ctx, power.LowPower, 2, material.Water); err != nil {
-		t.Fatal(err)
-	}
-
-	pp := perturbedPlanner(g)
-	pp.Precond = thermal.PrecondMG
-	sp, err := pp.NewSession(power.LowPower, 2, material.Water)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sp.Peak(ctx, 1.2e9); err != nil {
-		t.Fatal(err)
-	}
-	if sp.borrowed == nil {
-		t.Error("mild perturbation tripped the refresh guard")
-	}
-	if st := g.Stats(); st.PrecondRefreshed != 0 {
-		t.Errorf("refresh counted: %+v", st)
+	got, want := peak(g), peak(nil)
+	if d := math.Abs(got - want); d > 1e-4 {
+		t.Errorf("reference-path peak %v differs from independent solve %v by %.2e C", got, want, d)
 	}
 }
 

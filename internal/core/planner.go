@@ -62,8 +62,8 @@ type Planner struct {
 	Geoms *GeomCache
 	// Perturbed marks this planner as solving a one-shot
 	// parameter-perturbed sample (a Monte-Carlo cell): its sessions
-	// borrow the geometry's nominal reference (stale hierarchy, basis
-	// warm starts) instead of building everything themselves. Seed the
+	// warm-start their basis solves from the geometry's nominal
+	// reference basis instead of from the ambient field. Seed the
 	// reference with EnsureGeomRef on the nominal planner, then perturb
 	// that same planner so its sessions use the pinned reference.
 	Perturbed bool

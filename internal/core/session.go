@@ -41,13 +41,9 @@ type Session struct {
 
 	// Structural-reuse state (see GeomCache). gkey is the topology
 	// key; ref is the geometry's borrowed nominal reference (nil when
-	// none is seeded, or for non-perturbed sessions); borrowed +
-	// refIters track a stale borrowed hierarchy and the baseline its
-	// iteration guard compares against.
-	gkey     string
-	ref      *geomRef
-	borrowed *thermal.Multigrid
-	refIters int
+	// none is seeded, or for non-perturbed sessions).
+	gkey string
+	ref  *geomRef
 
 	// guess carries the previous solve's field as the next warm start.
 	guess []float64
@@ -104,8 +100,7 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 	s.gkey = p.geomKey(chip, chips, coolant)
 	if p.Perturbed {
 		// One-shot perturbed sample: borrow the geometry's nominal
-		// reference — basis warm starts plus, for MG-sized grids, the
-		// stale preconditioner.
+		// basis as warm starts.
 		s.ref = p.geomRef(s.gkey)
 	}
 	model, err := p.stackModel(coolant, chips, base, s.flipped)
@@ -118,40 +113,17 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 		return nil, err
 	}
 	s.model = s.sys.Model()
-	// Resolve the preconditioner once per session: perturbed sessions
-	// borrow the geometry's reference hierarchy instead of building
-	// one per sample.
-	if s.prec, err = s.resolvePrecond(); err != nil {
+	// Resolve the preconditioner once per session: the system's own
+	// hierarchy, built from this session's values.
+	if s.prec, err = s.sys.SelectPreconditioner(p.Precond); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// resolvePrecond picks the session's CG preconditioner. MG-sized
-// perturbed sessions borrow the geometry's nominal reference hierarchy
-// (a stale preconditioner: same structure, nominal values — still
-// SPD, so CG converges identically, with the iteration guard in
-// runSteady as the escape hatch); everyone else builds the system's
-// own hierarchy.
-func (s *Session) resolvePrecond() (thermal.Preconditioner, error) {
-	p := s.p
-	wantsMG, err := s.sys.WantsMG(p.Precond)
-	if err != nil || !wantsMG {
-		return nil, err
-	}
-	if s.ref != nil && s.ref.mg != nil {
-		s.borrowed = s.ref.mg.Borrow()
-		s.refIters = s.ref.iters
-		p.Geoms.noteReused()
-		return s.borrowed, nil
-	}
-	return s.sys.Multigrid()
-}
-
 // runSteady is the session's single SolveSteady choke point: it
-// attaches the resolved preconditioner, reports per-solve stats to
-// the planner's OnSolve observer, and runs the stale-preconditioner
-// iteration guard.
+// attaches the resolved preconditioner and reports per-solve stats to
+// the planner's OnSolve observer.
 func (s *Session) runSteady(opt thermal.SolveOptions) ([]float64, error) {
 	opt.Precond = s.prec
 	var stats thermal.SolveStats
@@ -159,22 +131,8 @@ func (s *Session) runSteady(opt thermal.SolveOptions) ([]float64, error) {
 		opt.Stats = &stats
 	}
 	t, err := s.sys.SolveSteady(opt)
-	if err == nil {
-		if iters := opt.Stats.Iterations; s.borrowed != nil && s.refIters > 0 && iters > 2*s.refIters+4 {
-			// The borrowed nominal values have drifted too far from
-			// this sample (the solve took over twice the nominal
-			// baseline, plus a small floor): refresh them under the
-			// shared structure. The field already converged — only
-			// future solves of this session get the better hierarchy.
-			if fresh, rerr := s.borrowed.RefreshedCopy(s.sys); rerr == nil {
-				s.prec = fresh
-				s.borrowed = nil
-				s.p.Geoms.noteRefreshed()
-			}
-		}
-		if s.p.OnSolve != nil {
-			s.p.OnSolve(*opt.Stats)
-		}
+	if err == nil && s.p.OnSolve != nil {
+		s.p.OnSolve(*opt.Stats)
 	}
 	return t, err
 }

@@ -13,18 +13,13 @@ import (
 
 // GeomCache shares per-geometry structural artifacts across sessions
 // and jobs: the symbolic assembly skeleton (thermal.Structure) and a
-// nominal reference (multigrid hierarchy and superposition basis) for
-// stale-preconditioner reuse. It is keyed by *topology* alone, so every
-// session of a geometry hits it, whatever its parameter values — a
-// Monte-Carlo run's perturbed samples included:
+// nominal reference superposition basis. It is keyed by *topology*
+// alone, so every session of a geometry hits it, whatever its
+// parameter values — a Monte-Carlo run's perturbed samples included:
 //
 //   - value-only reassembly through the cached Structure skips the
 //     symbolic pattern search (assembly is comparable in cost to a
 //     full CG solve);
-//   - perturbed sessions borrow the geometry's nominal reference
-//     hierarchy as a stale-but-SPD CG preconditioner instead of paying
-//     a full multigrid build per sample, refreshing its values only
-//     when the iteration guard shows the perturbation drifted too far;
 //   - perturbed sessions warm-start their superposition-basis solves
 //     from the nominal basis fields, which is where a Monte-Carlo cell
 //     spends nearly all of its CG iterations — for samples that only
@@ -38,6 +33,10 @@ import (
 // Monte-Carlo statistics stay bitwise reproducible under concurrent
 // scheduling and cache pressure.
 //
+// No multigrid hierarchy is shared: every session builds its own from
+// its own values (System.SelectPreconditioner), a setup that costs a
+// few percent of a Monte-Carlo cell.
+//
 // Safe for concurrent use. A nil *GeomCache is valid and shares
 // nothing — every caller falls back to the full per-session paths.
 type GeomCache struct {
@@ -46,8 +45,7 @@ type GeomCache struct {
 	seq   uint64
 	geoms map[string]*geomEntry
 
-	symbolicHits, symbolicMisses    uint64
-	precondReused, precondRefreshed uint64
+	symbolicHits, symbolicMisses uint64
 }
 
 type geomEntry struct {
@@ -68,22 +66,13 @@ type refBuild struct {
 	ref  *geomRef
 }
 
-// geomRef is a geometry's shared nominal reference: the artifacts a
-// perturbed sample can legally reuse because they depend only on the
-// topology it shares with the nominal geometry. It is built exactly
-// once per geometry from the *nominal* parameter values (EnsureGeomRef),
-// never from a perturbed sample — so its contents are deterministic
+// geomRef is a geometry's shared nominal reference: the basis a
+// perturbed sample warm-starts from. It is built exactly once per
+// geometry from the *nominal* parameter values (EnsureGeomRef), never
+// from a perturbed sample — so its contents are deterministic
 // regardless of which Monte-Carlo cell arrives first, and so are the
 // iteration paths (and bit-level results) of every borrower.
 type geomRef struct {
-	// mg is the nominal multigrid hierarchy, borrowed by perturbed
-	// sessions as a stale-but-SPD CG preconditioner (nil for
-	// Jacobi-sized geometries).
-	mg *thermal.Multigrid
-	// iters is the largest iteration count observed while building the
-	// nominal basis — the baseline the borrowers' refresh guard
-	// compares against.
-	iters int
 	// basis is the nominal superposition basis; perturbed sessions use
 	// its fields as warm starts for their own basis solves, which is
 	// where a Monte-Carlo cell spends nearly all of its CG iterations.
@@ -188,10 +177,8 @@ func (g *GeomCache) AssembleModel(key string, m *thermal.Model) (*thermal.System
 
 // geomRef returns the geometry's nominal reference for a session: the
 // one EnsureGeomRef pinned on this planner when the key matches, else
-// the cache's (nil when none is seeded). Callers must use
-// Borrow()/RefreshedCopy() on ref.mg — never Apply it directly — since
-// other sessions solve with it concurrently; basis fields are
-// read-only.
+// the cache's (nil when none is seeded). Other sessions read the
+// reference concurrently, so its basis fields are read-only.
 func (p *Planner) geomRef(key string) *geomRef {
 	if p.pinned != nil && p.pinnedKey == key {
 		return p.pinned
@@ -205,23 +192,11 @@ func (p *Planner) geomRef(key string) *geomRef {
 	return g.entryLocked(key).ref
 }
 
-// noteReused counts a session that borrowed the reference hierarchy
-// instead of building its own.
-func (g *GeomCache) noteReused() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.precondReused++
-	g.mu.Unlock()
-}
-
 // EnsureGeomRef builds and registers the geometry's shared nominal
-// reference — multigrid hierarchy, superposition basis and iteration
-// baseline — unless one exists, and pins the reference it found or
-// built on the receiver: perturbed sessions of the same geometry on
-// this planner borrow the pinned reference even if the cache evicts
-// it meanwhile. The receiver must be a *nominal* planner for the
+// reference — its superposition basis — unless one exists, and pins
+// the reference it found or built on the receiver: perturbed sessions
+// of the same geometry on this planner borrow the pinned reference
+// even if the cache evicts it meanwhile. The receiver must be a *nominal* planner for the
 // geometry (same grid and flip layout as the perturbed samples,
 // unperturbed parameter values), and may be perturbed afterwards:
 // building the reference from nominal values is what makes every
@@ -282,50 +257,16 @@ func (p *Planner) EnsureGeomRef(ctx context.Context, chip power.Model, chips int
 }
 
 // buildGeomRef runs one nominal session to completion of its basis and
-// harvests the shareable artifacts. The three basis solves double as
-// the iteration baseline for the borrowers' refresh guard.
+// keeps the shareable basis.
 func (p *Planner) buildGeomRef(ctx context.Context, chip power.Model, chips int, coolant material.Coolant) (*geomRef, error) {
-	// Shallow-copy the planner so the iteration probe composes with —
-	// instead of clobbering — the caller's OnSolve observer.
-	np := *p
-	inner := p.OnSolve
-	var maxIters int
-	np.OnSolve = func(st thermal.SolveStats) {
-		if st.Iterations > maxIters {
-			maxIters = st.Iterations
-		}
-		if inner != nil {
-			inner(st)
-		}
-	}
-	s, err := np.NewSession(chip, chips, coolant)
+	s, err := p.NewSession(chip, chips, coolant)
 	if err != nil {
 		return nil, err
 	}
 	if err := s.Prime(ctx); err != nil {
 		return nil, err
 	}
-	ref := &geomRef{iters: maxIters, basis: s.basis, ambientC: np.Params.AmbientC}
-	if wants, werr := s.sys.WantsMG(np.Precond); werr == nil && wants {
-		// Multigrid() is cached on the system, so this is the hierarchy
-		// the nominal session already built; borrowers take race-free
-		// Borrow() copies.
-		if mg, merr := s.sys.Multigrid(); merr == nil {
-			ref.mg = mg
-		}
-	}
-	return ref, nil
-}
-
-// noteRefreshed counts a borrower giving up on the stale hierarchy
-// and refreshing its values.
-func (g *GeomCache) noteRefreshed() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.precondRefreshed++
-	g.mu.Unlock()
+	return &geomRef{basis: s.basis, ambientC: p.Params.AmbientC}, nil
 }
 
 // GeomStats is a point-in-time snapshot of the cache's counters.
@@ -337,12 +278,6 @@ type GeomStats struct {
 	// assemblies, including the one that seeds each geometry.
 	SymbolicHits   uint64 `json:"symbolic_hits"`
 	SymbolicMisses uint64 `json:"symbolic_misses"`
-	// PrecondReused counts sessions that borrowed a geometry's
-	// nominal multigrid hierarchy instead of building their own;
-	// PrecondRefreshed counts borrowed hierarchies whose values had
-	// to be recomputed after the iteration guard tripped.
-	PrecondReused    uint64 `json:"precond_reused"`
-	PrecondRefreshed uint64 `json:"precond_refreshed"`
 }
 
 // Stats returns the cache's counters. A nil cache reports zeros.
@@ -353,10 +288,8 @@ func (g *GeomCache) Stats() GeomStats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return GeomStats{
-		Geometries:       len(g.geoms),
-		SymbolicHits:     g.symbolicHits,
-		SymbolicMisses:   g.symbolicMisses,
-		PrecondReused:    g.precondReused,
-		PrecondRefreshed: g.precondRefreshed,
+		Geometries:     len(g.geoms),
+		SymbolicHits:   g.symbolicHits,
+		SymbolicMisses: g.symbolicMisses,
 	}
 }

@@ -45,19 +45,16 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("job %s is a %s job; only cosimstream jobs stream", id, in.Kind))
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		WriteError(w, http.StatusInternalServerError, ErrCodeInternal,
-			errors.New("response writer cannot stream"))
+	es, err := StartEventStream(w)
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, ErrCodeInternal, err)
 		return
 	}
-	es := eventStream{w: w, fl: fl}
-	es.begin()
 
 	for {
 		batch, done, err := s.engine.StreamNext(r.Context(), id, from)
 		if errors.Is(err, service.ErrNotStreaming) {
-			s.replayCached(&es, id, from)
+			s.replayCached(es, id, from)
 			return
 		}
 		if err != nil {
@@ -67,7 +64,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		for _, iv := range batch {
-			es.event("interval", iv.Seq, iv)
+			es.Event("interval", iv.Seq, iv)
 			from = iv.Seq
 		}
 		if done && len(batch) == 0 {
@@ -77,7 +74,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 				// (the finished ring evicted the record); end the body.
 				return
 			}
-			es.event("done", 0, res)
+			es.Event("done", 0, res)
 			return
 		}
 	}
@@ -87,7 +84,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 // was answered from a cache tier (no live feed exists). The recorded
 // Series is decimated to the request's max_samples, which is exactly
 // what the response payload promises.
-func (s *server) replayCached(es *eventStream, id string, from int) {
+func (s *server) replayCached(es *EventStream, id string, from int) {
 	res, err := s.engine.Result(id)
 	if err != nil {
 		return
@@ -98,31 +95,44 @@ func (s *server) replayCached(es *eventStream, id string, from int) {
 			if iv.Seq <= from {
 				continue
 			}
-			es.event("interval", iv.Seq, iv)
+			es.Event("interval", iv.Seq, iv)
 		}
 	}
-	es.event("done", 0, res)
+	es.Event("done", 0, res)
 }
 
-// eventStream writes Server-Sent Events, flushing after each so
+// EventStream writes Server-Sent Events, flushing after each so
 // intervals reach the client as they are computed, not when the
-// response buffer happens to fill.
-type eventStream struct {
+// response buffer happens to fill. Both the backend and the router's
+// edge replay frame their cosimstream feeds through it.
+type EventStream struct {
 	w  http.ResponseWriter
 	fl http.Flusher
 }
 
-func (es *eventStream) begin() {
-	h := es.w.Header()
+// StartEventStream sets the event-stream headers on w, writes the 200
+// status and flushes it. Headers the caller adds (the router's
+// X-Cache) must be set on w before the call. It writes nothing and
+// returns an error when w cannot flush.
+func StartEventStream(w http.ResponseWriter) (*EventStream, error) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		return nil, errors.New("response writer cannot stream")
+	}
+	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-store")
 	// Tell buffering reverse proxies to pass events through as-is.
 	h.Set("X-Accel-Buffering", "no")
-	es.w.WriteHeader(http.StatusOK)
-	es.fl.Flush()
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+	return &EventStream{w: w, fl: fl}, nil
 }
 
-func (es *eventStream) event(name string, id int, v any) {
+// Event writes one event — an id line when id > 0 (the interval
+// sequence number), the event name and the JSON payload — and flushes
+// it.
+func (es *EventStream) Event(name string, id int, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return

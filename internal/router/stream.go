@@ -131,37 +131,17 @@ func (rt *Router) edgeStream(w http.ResponseWriter, r *http.Request, key string)
 			fmt.Errorf("router: edge-cached stream entry no longer decodes: %w", err))
 		return
 	}
-	fl, canFlush := w.(http.Flusher)
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-store")
-	h.Set("X-Cache", "edge")
-	w.WriteHeader(http.StatusOK)
+	w.Header().Set("X-Cache", "edge")
+	es, err := httpapi.StartEventStream(w)
+	if err != nil {
+		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.ErrCodeInternal, err)
+		return
+	}
 	for _, iv := range resp.Series {
 		if iv.Seq <= from {
 			continue
 		}
-		writeSSEEvent(w, "interval", iv.Seq, iv)
-		if canFlush {
-			fl.Flush()
-		}
+		es.Event("interval", iv.Seq, iv)
 	}
-	writeSSEEvent(w, "done", 0, edgeJobInfo(key, kind, payload))
-	if canFlush {
-		fl.Flush()
-	}
-}
-
-// writeSSEEvent mirrors the backend's event framing: an optional id
-// line (the interval sequence number), the event name, and the JSON
-// payload.
-func writeSSEEvent(w http.ResponseWriter, name string, id int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	if id > 0 {
-		fmt.Fprintf(w, "id: %d\n", id)
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", name, data)
+	es.Event("done", 0, edgeJobInfo(key, kind, payload))
 }

@@ -188,6 +188,13 @@ func TestRouterEdgeStreamReplay(t *testing.T) {
 	if got := sresp.Header.Get("X-Cache"); got != "edge" {
 		t.Fatalf("edge stream served from %q", got)
 	}
+	// The replay carries the backend's event-stream headers, so a
+	// buffering proxy passes it through as it would a live feed.
+	for k, want := range map[string]string{"Content-Type": "text/event-stream", "Cache-Control": "no-store", "X-Accel-Buffering": "no"} {
+		if got := sresp.Header.Get(k); got != want {
+			t.Errorf("edge stream header %s = %q, want %q", k, got, want)
+		}
+	}
 	intervals, doneData := readStream(t, sresp)
 	if len(intervals) != 4 || intervals[0].Seq != 3 || intervals[3].Seq != 6 {
 		t.Fatalf("edge replay intervals: %+v", intervals)

@@ -39,12 +39,12 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 	}
 	p := e.stackPlanner(r)
 	if r.Perturb != nil {
-		// Seed the geometry's shared nominal reference (hierarchy +
-		// basis) before the perturbed cell solves: a one-time cost per
-		// geometry that every sample then borrows. Building it from
-		// nominal values — never from whichever sample got here first —
-		// keeps Monte-Carlo statistics bitwise reproducible under
-		// concurrent cell scheduling. The nominal planner pins the
+		// Seed the geometry's shared nominal reference basis before
+		// the perturbed cell solves: a one-time cost per geometry that
+		// every sample then borrows. Building it from nominal values —
+		// never from whichever sample got here first — keeps
+		// Monte-Carlo statistics bitwise reproducible under concurrent
+		// cell scheduling. The nominal planner pins the
 		// reference, so perturbing and solving on the same planner
 		// borrows it even if the cache evicts it meanwhile.
 		if err := p.EnsureGeomRef(ctx, chip, r.Chips, coolant); err != nil {

@@ -323,17 +323,16 @@ type Snapshot struct {
 	// cached geometry topologies. AssemblySymbolicHits counts assemblies that
 	// reused a cached sparsity pattern and only recomputed values;
 	// AssemblySymbolicMisses counts full symbolic assemblies (one
-	// seeds each geometry). PrecondReused counts perturbed solves that
-	// borrowed the geometry's reference multigrid hierarchy instead of
-	// building their own; PrecondRefreshed counts borrowed hierarchies
-	// whose values were recomputed after the iteration guard tripped —
-	// a persistently high refresh share means the perturbations drift
-	// too far for stale preconditioning to pay off.
+	// seeds each geometry).
 	GeomEntries            int    `json:"geom_entries"`
 	AssemblySymbolicHits   uint64 `json:"assembly_symbolic_hits"`
 	AssemblySymbolicMisses uint64 `json:"assembly_symbolic_misses"`
-	PrecondReused          uint64 `json:"precond_reused"`
-	PrecondRefreshed       uint64 `json:"precond_refreshed"`
+	// PrecondReused and PrecondRefreshed are retired and always zero:
+	// every session builds its own multigrid hierarchy, so none is
+	// borrowed or refreshed. The fields are kept so existing readers
+	// of /v1/metrics still decode them.
+	PrecondReused    uint64 `json:"precond_reused"`
+	PrecondRefreshed uint64 `json:"precond_refreshed"`
 
 	// LatencyS maps stage name ("queue", "run.plan", "run.cosim",
 	// "run.sweep") to its histogram.

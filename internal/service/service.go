@@ -58,9 +58,9 @@ type Config struct {
 	// keeps the cache memory-only (the default).
 	DiskCache *rcache.Store
 	// DisableStructuralReuse turns off the per-geometry structural
-	// cache (symbolic assembly reuse and stale-preconditioner
-	// borrowing for perturbed Monte-Carlo cells), so every sample pays
-	// full assembly and its own multigrid build. Exists for A/B
+	// cache (symbolic assembly reuse and nominal-basis warm starts for
+	// perturbed Monte-Carlo cells), so every sample pays full assembly
+	// and cold basis solves. Exists for A/B
 	// benchmarking against the pre-structural path; production keeps
 	// it off.
 	DisableStructuralReuse bool
@@ -268,7 +268,7 @@ type Engine struct {
 	abortAll      context.CancelFunc
 
 	// geoms shares per-geometry structural artifacts (sparsity
-	// skeletons, reference multigrid hierarchies) across jobs — the
+	// skeletons, nominal reference bases) across jobs — the
 	// Monte-Carlo fast path. nil when Config.DisableStructuralReuse
 	// is set; it has its own synchronization.
 	geoms *core.GeomCache
@@ -951,8 +951,6 @@ func (e *Engine) Metrics() Snapshot {
 	s.GeomEntries = gs.Geometries
 	s.AssemblySymbolicHits = gs.SymbolicHits
 	s.AssemblySymbolicMisses = gs.SymbolicMisses
-	s.PrecondReused = gs.PrecondReused
-	s.PrecondRefreshed = gs.PrecondRefreshed
 	if e.disk != nil {
 		st := e.disk.Stats()
 		s.DiskCacheEnabled = true

@@ -62,8 +62,8 @@ func TestStructuralReuseDisabledMatches(t *testing.T) {
 	}
 	fast, fm := run(false)
 	base, bm := run(true)
-	// The fast path changes CG iteration paths (borrowed hierarchies,
-	// nominal-basis warm starts), never converged results: summaries
+	// The fast path changes CG iteration paths (nominal-basis warm
+	// starts), never converged results: summaries
 	// must agree within solver tolerance, far below any physical
 	// significance.
 	const tol = 1e-6
@@ -100,10 +100,10 @@ func TestStructuralReuseDisabledMatches(t *testing.T) {
 
 // TestMonteCarloRunToRunDeterministic pins the property the
 // deterministic nominal reference buys: with the structural fast path
-// engaged (shared skeleton, borrowed hierarchy, basis warm starts), a
-// montecarlo run's statistics are bitwise identical run to run — the
-// reference is always built from nominal values, never from whichever
-// perturbed cell a scheduler happened to run first.
+// engaged (shared skeleton, basis warm starts), a montecarlo run's
+// statistics are bitwise identical run to run — the reference is
+// always built from nominal values, never from whichever perturbed
+// cell a scheduler happened to run first.
 func TestMonteCarloRunToRunDeterministic(t *testing.T) {
 	run := func() *api.MonteCarloResponse {
 		e := New(Config{})

@@ -48,13 +48,12 @@ import (
 // the V-cycle is a fixed SPD operator and preconditioned CG theory
 // applies unchanged.
 //
-// A Multigrid is built once per assembled System and cached on it, so
-// a session amortizes the setup across every warm solve of its
-// frequency search. Apply reuses per-level work buffers and is
+// A Multigrid is built once per assembled System, from that System's
+// own values, and cached on it, so a session amortizes the setup
+// across every warm solve of its frequency search. It is never shared
+// between systems: Apply reuses per-level work buffers and is
 // therefore NOT safe for concurrent use — which matches the System
-// contract (one owner at a time). Borrow returns a
-// buffer-private view for a second owner; RefreshedCopy rebuilds the
-// values under the same structure for a perturbed sibling system.
+// contract (one owner at a time).
 type Multigrid struct {
 	levels []*mgLevel
 	chol   *denseChol
@@ -115,7 +114,7 @@ func (s *System) Multigrid() (*Multigrid, error) {
 	if s.mg != nil {
 		return s.mg, nil
 	}
-	mg, err := buildMultigrid(s, nil)
+	mg, err := buildMultigrid(s)
 	if err != nil {
 		return nil, err
 	}
@@ -128,49 +127,6 @@ func (m *Multigrid) Name() string { return PrecondMG }
 
 // Levels reports the hierarchy depth (including the finest level).
 func (m *Multigrid) Levels() int { return len(m.levels) }
-
-// Borrow returns a view of the hierarchy that shares every stencil,
-// factor, and transfer table but owns private work buffers, so a
-// different exclusive owner may Apply it concurrently with the
-// original. Applied to a perturbed sibling system this is a *stale*
-// preconditioner — it carries the builder system's values — but it
-// stays a fixed SPD operator, so CG still converges to the same
-// absolute tolerance, only in more iterations as the perturbation
-// grows.
-func (m *Multigrid) Borrow() *Multigrid {
-	nm := &Multigrid{
-		levels:  make([]*mgLevel, len(m.levels)),
-		chol:    m.chol,
-		omega:   m.omega,
-		smooths: m.smooths,
-	}
-	for i, l := range m.levels {
-		c := *l
-		if l.res != nil {
-			c.res = make([]float64, l.n)
-		}
-		if l.x != nil {
-			c.x = make([]float64, l.n)
-		}
-		if l.b != nil {
-			c.b = make([]float64, l.n)
-		}
-		nm.levels[i] = &c
-	}
-	return nm
-}
-
-// RefreshedCopy rebuilds everything value-dependent — the aggregated
-// coarse stencils, line-smoother factors, the dense coarsest
-// factorization — from s, reusing the purely geometric transfer
-// tables and level structure of the receiver. It is the
-// escape hatch of stale-preconditioner reuse: when a perturbed
-// solve's iteration count shows the borrowed values have drifted too
-// far, the caller refreshes at a fraction of a full build. s must
-// share the structure the receiver was built from.
-func (m *Multigrid) RefreshedCopy(s *System) (*Multigrid, error) {
-	return buildMultigrid(s, m)
-}
 
 // Kernel is one multigrid kernel bound to its operands.
 type Kernel struct {
@@ -206,9 +162,11 @@ func (m *Multigrid) Kernels() []Kernel {
 	return append(ks, Kernel{"vcycle", func() { m.Apply(z, r) }})
 }
 
-// buildMultigrid constructs the level structure (reusing the transfer
-// operators of `reuse` when given), then fills in the values.
-func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
+// buildMultigrid constructs the level structure, then fills in
+// everything value-dependent level by level: each coarse operator
+// aggregated from the one below it, line-smoother factors, the dense
+// coarsest factorization, and each coarse level's work vectors.
+func buildMultigrid(s *System) (*Multigrid, error) {
 	a := s.op
 	fine := &mgLevel{
 		nx: a.nx, ny: a.ny, layers: a.layers, n: s.N,
@@ -216,72 +174,40 @@ func buildMultigrid(s *System, reuse *Multigrid) (*Multigrid, error) {
 		res: make([]float64, s.N),
 	}
 	mg := &Multigrid{levels: []*mgLevel{fine}, omega: 0.9, smooths: 1}
-	if reuse != nil && (len(reuse.levels) == 0 || reuse.levels[0].n != s.N) {
-		return nil, fmt.Errorf("thermal: multigrid refresh against a different structure")
-	}
 
 	layers := a.layers
 	cur := fine
 	for cur.nx > mgCoarsestTarget || cur.ny > mgCoarsestTarget {
 		cnx, cny := coarseDim(cur.nx), coarseDim(cur.ny)
-		coarseN := layers * cnx * cny
-		if reuse != nil {
-			li := len(mg.levels) - 1
-			if li+1 >= len(reuse.levels) {
-				return nil, fmt.Errorf("thermal: multigrid refresh structure mismatch at level %d", li)
-			}
-			tl, tn := reuse.levels[li], reuse.levels[li+1]
-			if tl.nx != cur.nx || tl.ny != cur.ny || tn.nx != cnx || tn.ny != cny || tn.n != coarseN || tl.xfer == nil {
-				return nil, fmt.Errorf("thermal: multigrid refresh structure mismatch at level %d", li)
-			}
-			cur.xfer = tl.xfer
-		} else {
-			cur.xfer = newTransfer(cur.nx, cur.ny, cnx, cny, layers)
-		}
-		next := &mgLevel{nx: cnx, ny: cny, layers: layers, n: coarseN}
+		cur.xfer = newTransfer(cur.nx, cur.ny, cnx, cny, layers)
+		next := &mgLevel{nx: cnx, ny: cny, layers: layers, n: layers * cnx * cny}
 		mg.levels = append(mg.levels, next)
 		cur = next
-	}
-	if reuse != nil && len(reuse.levels) != len(mg.levels) {
-		return nil, fmt.Errorf("thermal: multigrid refresh depth mismatch (%d vs %d levels)", len(reuse.levels), len(mg.levels))
 	}
 	if cur.n > mgDenseCap {
 		return nil, fmt.Errorf("thermal: multigrid coarsest level too large (%d nodes > %d); grid not coarsenable", cur.n, mgDenseCap)
 	}
-	if err := mg.computeValues(); err != nil {
-		return nil, err
-	}
-	return mg, nil
-}
-
-// computeValues fills in everything value-dependent across the
-// hierarchy: each coarse operator aggregated from the one below it,
-// line-smoother factors, the dense coarsest factorization, and each
-// coarse level's work vectors. Shared by the initial build and
-// RefreshedCopy.
-func (m *Multigrid) computeValues() error {
-	last := len(m.levels) - 1
-	for li := 0; li <= last; li++ {
-		l := m.levels[li]
+	last := len(mg.levels) - 1
+	for li, l := range mg.levels {
 		if li > 0 {
-			if err := l.coarsen(m.levels[li-1]); err != nil {
-				return err
+			if err := l.coarsen(mg.levels[li-1]); err != nil {
+				return nil, err
 			}
 			l.x, l.b, l.res = make([]float64, l.n), make([]float64, l.n), make([]float64, l.n)
 		}
 		if li < last {
 			if err := l.buildLineSmoother(); err != nil {
-				return err
+				return nil, err
 			}
 		} else {
 			chol, err := newDenseChol(l)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			m.chol = chol
+			mg.chol = chol
 		}
 	}
-	return nil
+	return mg, nil
 }
 
 // buildLineSmoother factors every vertical column's tridiagonal part

@@ -37,12 +37,11 @@ const (
 // switches from Jacobi to multigrid. Measured on the 4-layer stack
 // fixture, a cold solve (hierarchy build included) breaks even with
 // Jacobi-CG at ≈6.4k unknowns and wins 1.2× at 9.2k, 1.6× at 16k and
-// 2.9× at 65k; per-solve with the build amortized (pooled systems,
-// borrowed reference hierarchies) multigrid is ahead at every size
-// measured. 8192 sits just above the cold break-even, so auto never
-// picks MG where the setup could lose, while deep stacks on the
-// default 32×32 grid (8+ layers) now get the V-cycle's near-constant
-// iteration count.
+// 2.9× at 65k; per-solve with the build amortized over a session's
+// solves multigrid is ahead at every size measured. 8192 sits just
+// above the cold break-even, so auto never picks MG where the setup
+// could lose, while deep stacks on the default 32×32 grid (8+ layers)
+// now get the V-cycle's near-constant iteration count.
 const mgAutoThreshold = 8192
 
 // SelectPreconditioner resolves a preconditioner kind ("", "auto",
@@ -51,27 +50,18 @@ const mgAutoThreshold = 8192
 // cached on the System, so a system pays setup once across all of its
 // solves.
 func (s *System) SelectPreconditioner(kind string) (Preconditioner, error) {
-	mg, err := s.WantsMG(kind)
-	if err != nil || !mg {
-		return nil, err
-	}
-	return s.Multigrid()
-}
-
-// WantsMG reports whether kind resolves to the multigrid path for
-// this system, without building the hierarchy — callers deciding
-// whether to borrow a shared reference hierarchy instead of building
-// their own ask this first.
-func (s *System) WantsMG(kind string) (bool, error) {
 	switch kind {
 	case "", PrecondAuto:
-		return s.model != nil && s.model.NumNodes()-len(s.model.Extras) >= mgAutoThreshold, nil
+		if s.model == nil || s.model.NumNodes()-len(s.model.Extras) < mgAutoThreshold {
+			return nil, nil
+		}
 	case PrecondJacobi:
-		return false, nil
+		return nil, nil
 	case PrecondMG:
-		return true, nil
+	default:
+		return nil, fmt.Errorf("thermal: unknown preconditioner %q (want auto, jacobi or mg)", kind)
 	}
-	return false, fmt.Errorf("thermal: unknown preconditioner %q (want auto, jacobi or mg)", kind)
+	return s.Multigrid()
 }
 
 // SolveStats reports what a steady solve did; pass a pointer in

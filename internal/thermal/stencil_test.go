@@ -450,8 +450,8 @@ func sameCSR(t *testing.T, what string, got, want *refCSR) {
 }
 
 // checkKernels compares every kernel of sys, with reference CSR ref,
-// and of its hierarchy mg, built from (or borrowed from) the system
-// with reference valRef, against the CSR reference; and sys's IC(0)
+// and of its hierarchy mg, built from the system with reference
+// valRef, against the CSR reference; and sys's IC(0)
 // factor against the one the reference's lower triangle gives.
 func checkKernels(t *testing.T, sys *System, ref, valRef *refCSR, mg *Multigrid) {
 	t.Helper()
@@ -548,8 +548,7 @@ func assembleUnchecked(t *testing.T, m *Model) *System {
 // each kernel sums every row in the CSR row's order, so solves,
 // iteration counts and goldens cannot move. It covers square, odd,
 // semicoarsened and one-cell-wide grids with and without lumped
-// extras, hierarchies reached through RefreshedCopy and Borrow,
-// Structure.Assemble systems and the stepper's shifted copy, at
+// extras, Structure.Assemble systems and the stepper's shifted copy, at
 // GOMAXPROCS 1 and 2 (the parallel kernels split work differently).
 func TestStencilKernelsMatchCSR(t *testing.T) {
 	grids := []struct {
@@ -580,23 +579,14 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 					}
 					t.Run("assemble", func(t *testing.T) { checkKernels(t, sys, ref, ref, mg) })
 
-					pert := assemble(perturbStack(g.nx, g.ny, extras))
-					pertRef := refAssemble(pert.Model())
-					t.Run("refreshed", func(t *testing.T) {
-						fresh, err := mg.RefreshedCopy(pert)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkKernels(t, pert, pertRef, pertRef, fresh)
-					})
-					t.Run("borrow", func(t *testing.T) { checkKernels(t, pert, pertRef, ref, mg.Borrow()) })
 					if !oneWide {
 						t.Run("structure", func(t *testing.T) {
+							pert := perturbStack(g.nx, g.ny, extras)
 							st, err := sys.Structure()
 							if err != nil {
 								t.Fatal(err)
 							}
-							ss, err := st.Assemble(perturbStack(g.nx, g.ny, extras))
+							ss, err := st.Assemble(pert)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -604,6 +594,7 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
+							pertRef := refAssemble(pert)
 							checkKernels(t, ss, pertRef, pertRef, smg)
 						})
 					}
@@ -618,7 +609,7 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 							shift[r] = c / stp.dt
 						}
 						shRef := refShifted(ref, shift)
-						shmg, err := buildMultigrid(sh, nil)
+						shmg, err := buildMultigrid(sh)
 						if err != nil {
 							t.Fatal(err)
 						}
