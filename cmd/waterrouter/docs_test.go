@@ -4,6 +4,8 @@ import (
 	"os"
 	"regexp"
 	"testing"
+
+	"waterimm/internal/api"
 )
 
 // TestOperationsDocCoversRouterSurface keeps the Router section of
@@ -15,12 +17,6 @@ func TestOperationsDocCoversRouterSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	surface, err := os.ReadFile("../../internal/router/router.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The synchronous endpoints are registered from the shared route
-	// table in internal/api, not by literal mux calls.
-	table, err := os.ReadFile("../../internal/api/jobs.go")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +44,12 @@ func TestOperationsDocCoversRouterSurface(t *testing.T) {
 	for _, m := range routeRE.FindAllStringSubmatch(string(surface), -1) {
 		routes = append(routes, m[1])
 	}
-	tableRE := regexp.MustCompile(`\{"(/v1/[^"]+)", func`)
-	for _, m := range tableRE.FindAllStringSubmatch(string(table), -1) {
-		routes = append(routes, m[1])
+	// The synchronous endpoints are registered from the kind table in
+	// internal/api, not by literal mux calls.
+	for _, k := range api.Kinds {
+		if k.Path != "" {
+			routes = append(routes, k.Path)
+		}
 	}
 	if len(routes) < 8 {
 		t.Fatalf("route scrape found only %v — regexp out of date?", routes)

@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"waterimm/internal/api"
 )
 
 // TestOperationsDocCoversSurface keeps OPERATIONS.md honest: every
@@ -17,12 +19,6 @@ func TestOperationsDocCoversSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	surface, err := os.ReadFile("../../internal/httpapi/httpapi.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The synchronous endpoints are registered from the shared route
-	// table in internal/api, not by literal mux calls.
-	table, err := os.ReadFile("../../internal/api/jobs.go")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +46,12 @@ func TestOperationsDocCoversSurface(t *testing.T) {
 	for _, m := range routeRE.FindAllStringSubmatch(string(surface), -1) {
 		routes = append(routes, m[1])
 	}
-	tableRE := regexp.MustCompile(`\{"(/v1/[^"]+)", func`)
-	for _, m := range tableRE.FindAllStringSubmatch(string(table), -1) {
-		routes = append(routes, m[1])
+	// The synchronous endpoints are registered from the kind table in
+	// internal/api, not by literal mux calls.
+	for _, k := range api.Kinds {
+		if k.Path != "" {
+			routes = append(routes, k.Path)
+		}
 	}
 	if len(routes) < 8 {
 		t.Fatalf("route scrape found only %v — regexp out of date?", routes)

@@ -23,7 +23,7 @@ import (
 // perturb/eval_ghz fields on plan requests. The new plan fields are
 // omitempty and absent from every previously reachable request, so
 // the canonical encodings of all v2 requests are byte-identical —
-// the per-kind key generations below therefore stay at 2 for
+// the per-kind key generations (Kinds) therefore stay at 2 for
 // plan/cosim/sweep and no deployed cache entry is invalidated
 // (TestCacheKeysFrozen pins the exact keys).
 //
@@ -49,29 +49,18 @@ const SchemaVersion = 5
 // deployed stores stay valid.
 const CacheGeneration = 2
 
-// keyGeneration returns the schema generation hashed into a kind's
-// cache-key prefix. A kind's generation is bumped only when that
-// kind's canonical encoding actually changes; kinds whose encodings
-// are untouched keep their generation — and therefore their deployed
-// cache entries — across a SchemaVersion bump.
+// keyGeneration returns the key generation of a kind in Kinds.
 func keyGeneration(kind string) int {
-	switch kind {
-	case "plan", "cosim", "sweep":
-		return 2
-	case "montecarlo":
-		return 3
-	case "audit":
-		return 4
-	case "cosimstream":
-		return 5
+	k, ok := KindByName(kind)
+	if !ok {
+		panic(fmt.Sprintf("api: no key generation for kind %q", kind))
 	}
-	panic(fmt.Sprintf("api: no key generation for kind %q", kind))
+	return k.KeyGeneration
 }
 
 // Request is the common surface of the service's request kinds.
 type Request interface {
-	// Kind returns "plan", "cosim", "sweep", "montecarlo", "audit"
-	// or "cosimstream".
+	// Kind returns the Name of the request's entry in Kinds.
 	Kind() string
 	// Normalize fills defaults and resolves aliases in place.
 	Normalize()
@@ -118,7 +107,7 @@ type PlanRequest struct {
 	//
 	// EvalGHz and Perturb are omitempty: absent they encode exactly
 	// as the v2 schema did, so pre-existing plan cache keys are
-	// unchanged (see keyGeneration).
+	// unchanged (see JobKind.KeyGeneration).
 	EvalGHz float64 `json:"eval_ghz,omitempty"`
 	// Perturb applies physical-parameter perturbations to the cell;
 	// nil means the nominal stack.

@@ -35,7 +35,7 @@ const (
 // Expansion is deterministic: every (chip, coolant, year) cell is a
 // canonical perturbed PlanRequest (PDyn = PStat = the year's growth
 // factor) sharing the plan cache keyspace — so audit cells, sweep
-// cells, montecarlo draws and plain /v1/simulate requests all dedup
+// cells, montecarlo draws and plain /v1/plan requests all dedup
 // onto one compute, and an identical audit resubmitted anywhere in
 // the fleet is answered from cache edge-side.
 type AuditRequest struct {

@@ -83,7 +83,7 @@ func TestAuditCellCap(t *testing.T) {
 // TestAuditCellsSharePlanKeyspace is the dedup guarantee: an expanded
 // audit cell must carry the exact cache key of the hand-built perturbed
 // plan request that any other workload (sweep, montecarlo, a plain
-// /v1/simulate call) would generate for the same physics.
+// /v1/plan call) would generate for the same physics.
 func TestAuditCellsSharePlanKeyspace(t *testing.T) {
 	r := &AuditRequest{Chips: []string{"low-power"}, Coolants: []string{"water"},
 		StartYear: 2026, EndYear: 2028, GrowthPerYear: 1.16}
@@ -174,8 +174,8 @@ func TestAuditEnvelope(t *testing.T) {
 		t.Errorf("alias not resolved: %v", ar.Chips)
 	}
 	// The typed-jobs registry knows the kind.
-	if _, ok := jobTypes("audit"); !ok {
-		t.Error("jobTypes does not know audit")
+	if _, ok := KindByName("audit"); !ok {
+		t.Error("Kinds does not list audit")
 	}
 	found := false
 	for _, n := range JobTypeNames() {

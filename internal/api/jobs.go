@@ -6,50 +6,91 @@ import (
 	"fmt"
 )
 
-// JobEnvelope is the canonical submit body of POST /v1/jobs: a type
-// discriminator plus the request payload for that type.
-//
-//	{"type": "montecarlo", "request": {"chips": 4, ...}}
-//
-// Accepted types are "simulate" (alias "plan"), "cosim", "sweep",
-// "montecarlo", "audit" and "cosimstream".
-type JobEnvelope struct {
-	Type    string          `json:"type"`
-	Request json.RawMessage `json:"request"`
+// JobKind is one request kind of the API. Every per-kind fact the
+// serving tiers need is declared here once: the envelope decoder, the
+// cache-key prefix, both tiers' synchronous routes, the engine's
+// disk-cache decoder and the Go client all read Kinds.
+type JobKind struct {
+	// Name is the kind's Request.Kind(): the cache-key prefix and the
+	// "kind" of job snapshots and cache entries.
+	Name string
+	// Type is the job-envelope discriminator. The plan kind travels
+	// as "simulate"; an envelope naming a kind by Name is accepted too.
+	Type string
+	// Path is the synchronous POST endpoint, "" for a kind served only
+	// as a job.
+	Path string
+	// KeyGeneration is the schema generation hashed into the kind's
+	// cache-key prefix. It is bumped only when that kind's canonical
+	// encoding actually changes, so the other kinds keep their
+	// generation — and their deployed cache entries — across a
+	// SchemaVersion bump.
+	KeyGeneration int
+	// NewRequest and NewResponse return the kind's zero request and
+	// response.
+	NewRequest  func() Request
+	NewResponse func() any
 }
 
-// jobTypes maps the wire discriminator to a fresh request value.
-// "simulate" is the public name of the plan kind (matching the
-// /v1/simulate endpoint); "plan" is accepted as an alias.
-func jobTypes(t string) (Request, bool) {
-	switch t {
-	case "simulate", "plan":
-		return &PlanRequest{}, true
-	case "cosim":
-		return &CosimRequest{}, true
-	case "sweep":
-		return &SweepRequest{}, true
-	case "montecarlo":
-		return &MonteCarloRequest{}, true
-	case "audit":
-		return &AuditRequest{}, true
-	case "cosimstream":
-		return &CosimStreamRequest{}, true
+// Kinds lists every request kind.
+var Kinds = []JobKind{
+	{"plan", "simulate", "/v1/plan", 2,
+		func() Request { return &PlanRequest{} }, func() any { return &PlanResponse{} }},
+	{"cosim", "cosim", "/v1/cosim", 2,
+		func() Request { return &CosimRequest{} }, func() any { return &CosimResponse{} }},
+	{"sweep", "sweep", "/v1/sweep", 2,
+		func() Request { return &SweepRequest{} }, func() any { return &SweepResponse{} }},
+	{"montecarlo", "montecarlo", "/v1/montecarlo", 3,
+		func() Request { return &MonteCarloRequest{} }, func() any { return &MonteCarloResponse{} }},
+	{"audit", "audit", "/v1/audit", 4,
+		func() Request { return &AuditRequest{} }, func() any { return &AuditResponse{} }},
+	{"cosimstream", "cosimstream", "", 5,
+		func() Request { return &CosimStreamRequest{} }, func() any { return &CosimStreamResponse{} }},
+}
+
+// KindByName returns the entry of Kinds whose Name is name.
+func KindByName(name string) (JobKind, bool) {
+	for _, k := range Kinds {
+		if k.Name == name {
+			return k, true
+		}
 	}
-	return nil, false
+	return JobKind{}, false
 }
 
 // JobTypeNames lists the accepted type discriminators, for error
 // messages and docs.
 func JobTypeNames() []string {
-	return []string{"simulate", "cosim", "sweep", "montecarlo", "audit", "cosimstream"}
+	names := make([]string, len(Kinds))
+	for i, k := range Kinds {
+		names[i] = k.Type
+	}
+	return names
+}
+
+// JobEnvelope is the canonical submit body of POST /v1/jobs: a type
+// discriminator plus the request payload for that type.
+//
+//	{"type": "montecarlo", "request": {"chips": 4, ...}}
+//
+// The accepted types are JobTypeNames; "plan" is an alias of
+// "simulate".
+type JobEnvelope struct {
+	Type    string          `json:"type"`
+	Request json.RawMessage `json:"request"`
 }
 
 // Decode unwraps the typed envelope into its request, rejecting
 // unknown types, a missing payload, and unknown payload fields.
 func (e *JobEnvelope) Decode() (Request, error) {
-	req, ok := jobTypes(e.Type)
-	if !ok {
+	var req Request
+	for _, k := range Kinds {
+		if e.Type == k.Type || e.Type == k.Name {
+			req = k.NewRequest()
+			break
+		}
+	}
+	if req == nil {
 		return nil, fmt.Errorf("api: job envelope: unknown type %q (want one of %v)", e.Type, JobTypeNames())
 	}
 	if len(e.Request) == 0 {
@@ -63,21 +104,18 @@ func (e *JobEnvelope) Decode() (Request, error) {
 	return req, nil
 }
 
-// NewJobEnvelope wraps a request in the typed envelope. The plan
-// kind is written under its public name "simulate".
+// NewJobEnvelope wraps a request in the typed envelope under its
+// kind's Type.
 func NewJobEnvelope(req Request) (*JobEnvelope, error) {
-	t := req.Kind()
-	if t == "plan" {
-		t = "simulate"
-	}
-	if _, ok := jobTypes(t); !ok {
+	k, ok := KindByName(req.Kind())
+	if !ok {
 		return nil, fmt.Errorf("api: job envelope: unsupported request kind %q", req.Kind())
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return nil, fmt.Errorf("api: job envelope: encode %s request: %w", t, err)
+		return nil, fmt.Errorf("api: job envelope: encode %s request: %w", k.Type, err)
 	}
-	return &JobEnvelope{Type: t, Request: payload}, nil
+	return &JobEnvelope{Type: k.Type, Request: payload}, nil
 }
 
 // DecodeJobRequest decodes a typed JobEnvelope submit body strictly,
@@ -92,22 +130,4 @@ func DecodeJobRequest(body []byte) (Request, error) {
 		return nil, fmt.Errorf(`api: decode job envelope {"type": ..., "request": {...}}: %w`, err)
 	}
 	return env.Decode()
-}
-
-// Route is one synchronous endpoint of the HTTP surface: the path it
-// is served under and a constructor of the request it decodes.
-type Route struct {
-	Path string
-	New  func() Request
-}
-
-// SyncRoutes lists the synchronous POST endpoints. Both HTTP tiers —
-// the backend (internal/httpapi) and the router — register exactly
-// these, so a new kind is added in one place.
-var SyncRoutes = []Route{
-	{"/v1/plan", func() Request { return &PlanRequest{} }},
-	{"/v1/cosim", func() Request { return &CosimRequest{} }},
-	{"/v1/sweep", func() Request { return &SweepRequest{} }},
-	{"/v1/montecarlo", func() Request { return &MonteCarloRequest{} }},
-	{"/v1/audit", func() Request { return &AuditRequest{} }},
 }

@@ -1,6 +1,8 @@
 package api
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -102,6 +104,49 @@ func TestJobEnvelopeRoundTrip(t *testing.T) {
 		}
 		if back.CacheKey() != req.CacheKey() {
 			t.Fatalf("%s: round trip moved the cache key", req.Kind())
+		}
+	}
+}
+
+// TestKindsTable checks every entry of the kind table against itself:
+// its request reports the entry's Name, round-trips through the typed
+// envelope under its Type, pairs with the response of the same kind,
+// and is served at /v1/<name> when it has a synchronous route.
+func TestKindsTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, k := range Kinds {
+		if seen[k.Name] || seen[k.Type] {
+			t.Errorf("kind %s: name or type %q listed twice", k.Name, k.Type)
+		}
+		seen[k.Name], seen[k.Type] = true, true
+		req := k.NewRequest()
+		if req.Kind() != k.Name {
+			t.Errorf("kind %s constructs a %s request", k.Name, req.Kind())
+		}
+		if k.Path != "" && k.Path != "/v1/"+k.Name {
+			t.Errorf("kind %s is served at %s", k.Name, k.Path)
+		}
+		reqType := strings.TrimSuffix(fmt.Sprintf("%T", req), "Request")
+		if respType := strings.TrimSuffix(fmt.Sprintf("%T", k.NewResponse()), "Response"); respType != reqType {
+			t.Errorf("kind %s pairs %T with %T", k.Name, req, k.NewResponse())
+		}
+		env, err := NewJobEnvelope(req)
+		if err != nil {
+			t.Fatalf("kind %s: %v", k.Name, err)
+		}
+		if env.Type != k.Type {
+			t.Errorf("kind %s travels as %q, want %q", k.Name, env.Type, k.Type)
+		}
+		body, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeJobRequest(body)
+		if err != nil {
+			t.Fatalf("kind %s: decode %s: %v", k.Name, body, err)
+		}
+		if back.Kind() != k.Name || fmt.Sprintf("%T", back) != fmt.Sprintf("%T", req) {
+			t.Errorf("kind %s decodes back as %T (%s)", k.Name, back, back.Kind())
 		}
 	}
 }

@@ -274,7 +274,7 @@ func (r *MonteCarloRequest) clone() *MonteCarloRequest {
 // cells in Saltelli row order (A rows, B rows, then A_B^k per
 // parameter in sorted-name order). Every cell is an ordinary
 // normalized PlanRequest — it shares the plan cache keyspace, so a
-// sample cell, an equivalent /v1/simulate request, and the same cell
+// sample cell, an equivalent /v1/plan request, and the same cell
 // from another user's identical montecarlo all dedup onto one
 // compute. Expansion is bit-deterministic for a fixed request (see
 // internal/mc).

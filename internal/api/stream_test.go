@@ -87,8 +87,8 @@ func TestCosimStreamEnvelope(t *testing.T) {
 		t.Errorf("decoded request: %+v", sr)
 	}
 	// The typed-jobs registry knows the kind.
-	if _, ok := jobTypes("cosimstream"); !ok {
-		t.Error("jobTypes does not know cosimstream")
+	if _, ok := KindByName("cosimstream"); !ok {
+		t.Error("Kinds does not list cosimstream")
 	}
 	found := false
 	for _, n := range JobTypeNames() {

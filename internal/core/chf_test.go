@@ -151,7 +151,7 @@ func TestGeomCacheCarriesNoCHFLimits(t *testing.T) {
 		}
 		// Perturbed sessions borrow the reference's basis too.
 		p.Perturbed = true
-		plan, res, err := p.MaxFrequencyResultCtx(ctx, chip, 1, material.Fluorinert)
+		plan, res, _, err := p.MaxFrequencyEvalCtx(ctx, chip, 1, material.Fluorinert, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -117,32 +117,20 @@ func (p *Planner) leakTemp(m power.Model) float64 {
 }
 
 // Solve simulates one spec and returns the thermal field plus the VFS
-// step that produced it.
+// step that produced it. One-shot solves pay one assembly each;
+// callers solving the same geometry repeatedly should hold a Session
+// instead.
 func (p *Planner) Solve(spec StackSpec) (*thermal.Result, power.Step, error) {
-	return p.SolveCtx(context.Background(), spec)
-}
-
-// SolveCtx is Solve with cooperative cancellation: the context is
-// threaded into the conjugate-gradient solver, so a cancelled request
-// (service timeout, client disconnect) abandons the solve promptly.
-// One-shot solves pay one assembly each; callers solving the same
-// geometry repeatedly should hold a Session instead.
-func (p *Planner) SolveCtx(ctx context.Context, spec StackSpec) (*thermal.Result, power.Step, error) {
 	s, err := p.NewSession(spec.Chip, spec.Chips, spec.Coolant)
 	if err != nil {
 		return nil, power.Step{}, err
 	}
-	return s.Solve(ctx, spec.FHz)
+	return s.Solve(context.Background(), spec.FHz)
 }
 
 // PeakAt returns the peak junction temperature for a spec.
 func (p *Planner) PeakAt(spec StackSpec) (float64, error) {
-	return p.PeakAtCtx(context.Background(), spec)
-}
-
-// PeakAtCtx is PeakAt with cooperative cancellation.
-func (p *Planner) PeakAtCtx(ctx context.Context, spec StackSpec) (float64, error) {
-	res, _, err := p.SolveCtx(ctx, spec)
+	res, _, err := p.Solve(spec)
 	if err != nil {
 		return 0, err
 	}
@@ -178,40 +166,24 @@ func (pl Plan) FrequencyGHz() float64 {
 // in the VFS step (higher frequency ⇒ higher voltage and power), so a
 // binary search over the table is exact.
 func (p *Planner) MaxFrequency(chip power.Model, chips int, coolant material.Coolant) (Plan, error) {
-	return p.MaxFrequencyCtx(context.Background(), chip, chips, coolant)
-}
-
-// MaxFrequencyCtx is MaxFrequency with cooperative cancellation,
-// checked before every thermal solve of the binary search and inside
-// the solver's iteration loop.
-func (p *Planner) MaxFrequencyCtx(ctx context.Context, chip power.Model, chips int, coolant material.Coolant) (Plan, error) {
-	plan, _, err := p.MaxFrequencyResultCtx(ctx, chip, chips, coolant)
+	plan, _, _, err := p.MaxFrequencyEvalCtx(context.Background(), chip, chips, coolant, 0)
 	return plan, err
 }
 
-// MaxFrequencyResultCtx is MaxFrequencyCtx returning, for feasible
-// plans, the full thermal field at the chosen step (for per-die
-// breakdowns, map rendering) without an extra cold solve: the whole
-// search runs in one Session, so the field is one warm re-solve away.
-// The Result is nil for infeasible plans.
-func (p *Planner) MaxFrequencyResultCtx(ctx context.Context, chip power.Model, chips int, coolant material.Coolant) (Plan, *thermal.Result, error) {
-	plan, res, _, err := p.maxFrequency(ctx, chip, chips, coolant, 0)
-	return plan, res, err
-}
-
-// MaxFrequencyEvalCtx is MaxFrequencyResultCtx plus one extra warm
-// solve at the fixed VFS step evalFHz, returning that step's peak
-// temperature. Unlike the search outcome, the eval peak is produced
-// even when the plan is infeasible — the montecarlo exceedance
-// estimate needs a temperature for every sample, especially the ones
-// whose stack cannot hold the threshold. The eval solve shares the
-// search's session and superposition basis, so it costs a few
-// verification CG iterations, not an assembly.
+// MaxFrequencyEvalCtx is MaxFrequency with cooperative cancellation —
+// checked before every thermal solve of the binary search and inside
+// the solver's iteration loop — that also returns, for feasible plans,
+// the full thermal field at the chosen step (nil for infeasible
+// plans), and, when evalFHz is non-zero, the peak temperature of one
+// extra warm solve at that fixed VFS step. The whole search runs in
+// one Session, so the field is one warm re-solve away. Unlike the
+// search outcome, the eval peak is produced even when the plan is
+// infeasible — the montecarlo exceedance estimate needs a temperature
+// for every sample, especially the ones whose stack cannot hold the
+// threshold. The eval solve shares the search's session and
+// superposition basis, so it costs a few verification CG iterations,
+// not an assembly.
 func (p *Planner) MaxFrequencyEvalCtx(ctx context.Context, chip power.Model, chips int, coolant material.Coolant, evalFHz float64) (Plan, *thermal.Result, float64, error) {
-	return p.maxFrequency(ctx, chip, chips, coolant, evalFHz)
-}
-
-func (p *Planner) maxFrequency(ctx context.Context, chip power.Model, chips int, coolant material.Coolant, evalFHz float64) (Plan, *thermal.Result, float64, error) {
 	steps := chip.Steps()
 	if len(steps) == 0 {
 		return Plan{}, nil, 0, fmt.Errorf("core: chip %s has an empty VFS table", chip.Name)
@@ -303,17 +275,11 @@ func (p *Planner) maxFrequency(ctx context.Context, chip power.Model, chips int,
 // every coolant in the given list, producing the data behind Figures
 // 1, 7, 8 and 17. The result is indexed [coolant][chips-1].
 func (p *Planner) MaxFrequencySweep(chip power.Model, maxChips int, coolants []material.Coolant) ([][]Plan, error) {
-	return p.MaxFrequencySweepCtx(context.Background(), chip, maxChips, coolants)
-}
-
-// MaxFrequencySweepCtx is MaxFrequencySweep with cooperative
-// cancellation between (and within) the per-point searches.
-func (p *Planner) MaxFrequencySweepCtx(ctx context.Context, chip power.Model, maxChips int, coolants []material.Coolant) ([][]Plan, error) {
 	out := make([][]Plan, len(coolants))
 	for ci, c := range coolants {
 		out[ci] = make([]Plan, maxChips)
 		for n := 1; n <= maxChips; n++ {
-			pl, err := p.MaxFrequencyCtx(ctx, chip, n, c)
+			pl, err := p.MaxFrequency(chip, n, c)
 			if err != nil {
 				return nil, fmt.Errorf("core: sweep %s/%s/%d chips: %w", chip.Name, c.Name, n, err)
 			}

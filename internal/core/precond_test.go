@@ -31,7 +31,7 @@ func TestMultigridMatchesJacobiAcrossCoolants(t *testing.T) {
 				last = st
 				mu.Unlock()
 			}
-			plan, res, err := p.MaxFrequencyResultCtx(context.Background(), power.LowPower, 2, coolant)
+			plan, res, _, err := p.MaxFrequencyEvalCtx(context.Background(), power.LowPower, 2, coolant, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", coolant.Name, kind, err)
 			}

@@ -36,11 +36,11 @@ func TestWarmStartMatchesColdStart(t *testing.T) {
 		cold.ColdStart = true
 
 		ctx := context.Background()
-		wPlan, wRes, err := warm.MaxFrequencyResultCtx(ctx, tc.chip, tc.chips, tc.coolant)
+		wPlan, wRes, _, err := warm.MaxFrequencyEvalCtx(ctx, tc.chip, tc.chips, tc.coolant, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cPlan, cRes, err := cold.MaxFrequencyResultCtx(ctx, tc.chip, tc.chips, tc.coolant)
+		cPlan, cRes, _, err := cold.MaxFrequencyEvalCtx(ctx, tc.chip, tc.chips, tc.coolant, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,10 +65,12 @@ func NewHandler(e *service.Engine, opts Options) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.healthz)
 	mux.HandleFunc("GET /v1/metrics", s.metrics)
-	for _, route := range api.SyncRoutes {
-		mux.HandleFunc("POST "+route.Path, func(w http.ResponseWriter, r *http.Request) {
-			s.sync(w, r, route.New())
-		})
+	for _, k := range api.Kinds {
+		if k.Path != "" {
+			mux.HandleFunc("POST "+k.Path, func(w http.ResponseWriter, r *http.Request) {
+				s.sync(w, r, k.NewRequest())
+			})
+		}
 	}
 	mux.HandleFunc("POST /v1/jobs", s.submit)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.status)

@@ -26,14 +26,9 @@ import (
 // pace.
 func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("bad from parameter %q", q))
-			return
-		}
-		from = n
+	from, ok := StreamFrom(w, r)
+	if !ok {
+		return
 	}
 	in, err := s.engine.Status(id)
 	if err != nil {
@@ -54,7 +49,18 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	for {
 		batch, done, err := s.engine.StreamNext(r.Context(), id, from)
 		if errors.Is(err, service.ErrNotStreaming) {
-			s.replayCached(es, id, from)
+			// Answered whole from a cache tier: replay the recorded
+			// series, which is decimated to the request's max_samples —
+			// exactly what the response payload promises.
+			res, err := s.engine.Result(id)
+			if err != nil {
+				return
+			}
+			var series []api.CosimStreamInterval
+			if resp, ok := res.Result.(*api.CosimStreamResponse); ok {
+				series = resp.Series
+			}
+			es.Replay(series, from, res)
 			return
 		}
 		if err != nil {
@@ -78,27 +84,6 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// replayCached streams the recorded series of a cosimstream job that
-// was answered from a cache tier (no live feed exists). The recorded
-// Series is decimated to the request's max_samples, which is exactly
-// what the response payload promises.
-func (s *server) replayCached(es *EventStream, id string, from int) {
-	res, err := s.engine.Result(id)
-	if err != nil {
-		return
-	}
-	resp, ok := res.Result.(*api.CosimStreamResponse)
-	if ok {
-		for _, iv := range resp.Series {
-			if iv.Seq <= from {
-				continue
-			}
-			es.Event("interval", iv.Seq, iv)
-		}
-	}
-	es.Event("done", 0, res)
 }
 
 // EventStream writes Server-Sent Events, flushing after each so
@@ -142,4 +127,32 @@ func (es *EventStream) Event(name string, id int, v any) {
 	}
 	fmt.Fprintf(es.w, "event: %s\ndata: %s\n\n", name, data)
 	es.fl.Flush()
+}
+
+// Replay writes a recorded series as a stream resumed after from: one
+// "interval" event per interval past from, then the "done" event
+// carrying done.
+func (es *EventStream) Replay(series []api.CosimStreamInterval, from int, done any) {
+	for _, iv := range series {
+		if iv.Seq > from {
+			es.Event("interval", iv.Seq, iv)
+		}
+	}
+	es.Event("done", 0, done)
+}
+
+// StreamFrom parses a stream request's ?from= resume point: the last
+// interval sequence number the client holds, 0 when absent. A
+// malformed value is answered with a 400 here, and ok is false.
+func StreamFrom(w http.ResponseWriter, r *http.Request) (from int, ok bool) {
+	q := r.URL.Query().Get("from")
+	if q == "" {
+		return 0, true
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		WriteError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("bad from parameter %q", q))
+		return 0, false
+	}
+	return n, true
 }

@@ -12,19 +12,11 @@ import (
 	"waterimm/internal/rcache"
 )
 
-// routerMetrics counts the router's own work. All fields are guarded
-// by mu; Snapshot returns a consistent copy.
+// routerMetrics counts the router's own work in s, the Snapshot it
+// is published as, guarded by mu; Metrics returns a consistent copy.
 type routerMetrics struct {
 	mu sync.Mutex
-
-	requests         uint64
-	edgeHits         uint64
-	edgeMisses       uint64
-	edgeHarvests     uint64
-	failovers        uint64
-	passiveEjections uint64
-	noBackend        uint64
-	proxied          map[string]uint64 // per-backend forwarded calls
+	s  Snapshot
 }
 
 func (m *routerMetrics) add(counter *uint64) {
@@ -35,7 +27,7 @@ func (m *routerMetrics) add(counter *uint64) {
 
 func (m *routerMetrics) addProxied(backendID string) {
 	m.mu.Lock()
-	m.proxied[backendID]++
+	m.s.ProxiedByBackend[backendID]++
 	m.mu.Unlock()
 }
 
@@ -72,17 +64,9 @@ type Snapshot struct {
 func (rt *Router) Metrics() Snapshot {
 	m := &rt.metrics
 	m.mu.Lock()
-	s := Snapshot{
-		Requests:          m.requests,
-		EdgeCacheHits:     m.edgeHits,
-		EdgeCacheMisses:   m.edgeMisses,
-		EdgeCacheHarvests: m.edgeHarvests,
-		Failovers:         m.failovers,
-		PassiveEjections:  m.passiveEjections,
-		NoBackendErrors:   m.noBackend,
-		ProxiedByBackend:  make(map[string]uint64, len(m.proxied)),
-	}
-	for id, n := range m.proxied {
+	s := m.s
+	s.ProxiedByBackend = make(map[string]uint64, len(m.s.ProxiedByBackend))
+	for id, n := range m.s.ProxiedByBackend {
 		s.ProxiedByBackend[id] = n
 	}
 	m.mu.Unlock()

@@ -118,7 +118,7 @@ func New(cfg Config) (*Router, error) {
 		ids = append(ids, b.ID)
 	}
 	rt.ring = NewRing(ids)
-	rt.metrics.proxied = make(map[string]uint64, len(ids))
+	rt.metrics.s.ProxiedByBackend = make(map[string]uint64, len(ids))
 	return rt, nil
 }
 
@@ -186,10 +186,12 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.healthz)
 	mux.HandleFunc("GET /v1/metrics", rt.metricsHandler)
-	for _, route := range api.SyncRoutes {
-		mux.HandleFunc("POST "+route.Path, func(w http.ResponseWriter, r *http.Request) {
-			rt.syncProxy(w, r, route.New())
-		})
+	for _, k := range api.Kinds {
+		if k.Path != "" {
+			mux.HandleFunc("POST "+k.Path, func(w http.ResponseWriter, r *http.Request) {
+				rt.syncProxy(w, r, k.NewRequest())
+			})
+		}
 	}
 	mux.HandleFunc("POST /v1/jobs", rt.submit)
 	mux.HandleFunc("GET /v1/jobs/{id}", rt.jobProxy)
@@ -255,14 +257,14 @@ func keyOf(req api.Request) (string, int, string, error) {
 	return req.CacheKey(), 0, "", nil
 }
 
-// syncProxy serves the synchronous routes (api.SyncRoutes): answer from the edge
-// cache when possible, otherwise forward to the key's backend (with
-// failover down the ring) and spill a 200 into the edge cache on the
-// way back. A 202 — the backend degraded the sync request to an async
+// syncProxy serves the synchronous routes (the api.Kinds entries with
+// a Path): answer from the edge cache when possible, otherwise forward
+// to the key's backend (with failover down the ring) and spill a 200
+// into the edge cache on the way back. A 202 — the backend degraded the sync request to an async
 // job — gets the owning backend's affinity prefix stamped into the
 // job ID so the client's poll finds its way back.
 func (rt *Router) syncProxy(w http.ResponseWriter, r *http.Request, req api.Request) {
-	rt.metrics.add(&rt.metrics.requests)
+	rt.metrics.add(&rt.metrics.s.Requests)
 	body, err := readBody(r)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.ErrCodeBadRequest, err)
@@ -300,7 +302,7 @@ func (rt *Router) syncProxy(w http.ResponseWriter, r *http.Request, req api.Requ
 // backend traffic); everything else forwards to the key's backend and
 // the returned job ID gains that backend's affinity prefix.
 func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
-	rt.metrics.add(&rt.metrics.requests)
+	rt.metrics.add(&rt.metrics.s.Requests)
 	body, err := readBody(r)
 	if err != nil {
 		httpapi.WriteError(w, http.StatusBadRequest, httpapi.ErrCodeBadRequest, err)
@@ -333,12 +335,15 @@ func (rt *Router) submit(w http.ResponseWriter, r *http.Request) {
 	rt.relay(w, b, resp)
 }
 
-// jobProxy serves GET/DELETE /v1/jobs/{id}[/result]: the affinity
-// prefix in the ID names the owning backend (or the edge tier), so
-// polls route back without any shared job table.
-func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request) {
-	rt.metrics.add(&rt.metrics.requests)
-	fleetID := r.PathValue("id")
+// resolveJob counts a request on a job ID and resolves that ID: the
+// affinity prefix names the owning backend, or the edge tier, so polls
+// and streams route back without any shared job table. An ID with no
+// affinity or naming an unknown backend (the edge tier too, when it is
+// disabled) is answered with a 404 here, and ok is false; b is nil for
+// an edge-owned job.
+func (rt *Router) resolveJob(w http.ResponseWriter, r *http.Request) (fleetID string, b *Backend, localID string, ok bool) {
+	rt.metrics.add(&rt.metrics.s.Requests)
+	fleetID = r.PathValue("id")
 	// pkg/client path-escapes job IDs ("!" → %21) and the mux hands the
 	// segment back still escaped; legitimate IDs never contain "%", so
 	// unescaping is safe and idempotent here.
@@ -349,17 +354,41 @@ func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request) {
 	if !ok || localID == "" {
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.ErrCodeNotFound,
 			fmt.Errorf("router: job ID %q carries no backend affinity (was it issued by this router?)", fleetID))
+		return fleetID, nil, "", false
+	}
+	if owner == edgeBackendID && rt.edge != nil {
+		return fleetID, nil, localID, true
+	}
+	if b = rt.byID[owner]; b == nil {
+		httpapi.WriteError(w, http.StatusNotFound, httpapi.ErrCodeNotFound,
+			fmt.Errorf("router: job ID %q names unknown backend %q", fleetID, owner))
+		return fleetID, nil, "", false
+	}
+	return fleetID, b, localID, true
+}
+
+// ownerUnreachable answers a poll or stream whose owning backend cannot
+// be reached. Its accepted jobs cannot be served elsewhere, so the
+// client is told to retry: the backend may be restarting, and its disk
+// cache keeps finished results and stream checkpoints.
+func (rt *Router) ownerUnreachable(w http.ResponseWriter, b *Backend, fleetID string, err error) {
+	b.markDead(err)
+	rt.metrics.add(&rt.metrics.s.PassiveEjections)
+	httpapi.SetRetryAfter(w, time.Second)
+	httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.ErrCodeUnavailable,
+		fmt.Errorf("router: backend %s owning job %s is unreachable: %w", b.ID, fleetID, err))
+}
+
+// jobProxy serves GET/DELETE /v1/jobs/{id}[/result] on the job's
+// owner.
+func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request) {
+	fleetID, b, localID, ok := rt.resolveJob(w, r)
+	if !ok {
 		return
 	}
 	wantResult := strings.HasSuffix(r.URL.Path, "/result")
-	if owner == edgeBackendID {
-		rt.edgeJob(w, r, localID, wantResult)
-		return
-	}
-	b := rt.byID[owner]
 	if b == nil {
-		httpapi.WriteError(w, http.StatusNotFound, httpapi.ErrCodeNotFound,
-			fmt.Errorf("router: job ID %q names unknown backend %q", fleetID, owner))
+		rt.edgeJob(w, localID, wantResult)
 		return
 	}
 	path := "/v1/jobs/" + url.PathEscape(localID)
@@ -368,14 +397,7 @@ func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := rt.forward(r.Context(), b, r.Method, path, nil, w.Header().Get(httpapi.RequestIDHeader))
 	if err != nil {
-		// The owner is unreachable; its accepted jobs cannot be polled
-		// elsewhere. Tell the client to retry — the backend may be
-		// restarting, and its disk cache preserves finished results.
-		b.markDead(err)
-		rt.metrics.add(&rt.metrics.passiveEjections)
-		httpapi.SetRetryAfter(w, time.Second)
-		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.ErrCodeUnavailable,
-			fmt.Errorf("router: backend %s owning job %s is unreachable: %w", b.ID, fleetID, err))
+		rt.ownerUnreachable(w, b, fleetID, err)
 		return
 	}
 	if resp.status == http.StatusOK || resp.status == http.StatusAccepted {
@@ -391,14 +413,13 @@ func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request) {
 // ID is the canonical request key, so the snapshot (and result) come
 // straight from the edge store. DELETE is a no-op on an already-done
 // job, exactly as on a backend.
-func (rt *Router) edgeJob(w http.ResponseWriter, r *http.Request, key string, wantResult bool) {
+func (rt *Router) edgeJob(w http.ResponseWriter, key string, wantResult bool) {
 	kind, payload, ok := rt.edge.Get(key)
 	if !ok {
 		httpapi.WriteError(w, http.StatusNotFound, httpapi.ErrCodeNotFound,
 			fmt.Errorf("router: edge-cached job %s%s%s no longer present (entry evicted)", edgeBackendID, affinitySep, key))
 		return
 	}
-	_ = r
 	var result json.RawMessage
 	if wantResult {
 		result = payload
@@ -457,7 +478,7 @@ func (rt *Router) forwardByKey(ctx context.Context, key, method, path string, bo
 	var lastErr error
 	for i, b := range candidates {
 		if i > 0 {
-			rt.metrics.add(&rt.metrics.failovers)
+			rt.metrics.add(&rt.metrics.s.Failovers)
 		}
 		resp, err := rt.forward(ctx, b, method, path, body, reqID)
 		if err != nil {
@@ -465,13 +486,13 @@ func (rt *Router) forwardByKey(ctx context.Context, key, method, path string, bo
 				return nil, nil, ctx.Err()
 			}
 			b.markDead(err)
-			rt.metrics.add(&rt.metrics.passiveEjections)
+			rt.metrics.add(&rt.metrics.s.PassiveEjections)
 			lastErr = err
 			continue
 		}
 		if resp.status == http.StatusServiceUnavailable && errorCode(resp.body) == httpapi.ErrCodeUnavailable {
 			b.markDraining()
-			rt.metrics.add(&rt.metrics.passiveEjections)
+			rt.metrics.add(&rt.metrics.s.PassiveEjections)
 			lastErr = fmt.Errorf("backend %s is draining", b.ID)
 			continue
 		}
@@ -532,7 +553,7 @@ func (rt *Router) relay(w http.ResponseWriter, b *Backend, resp *backendResponse
 }
 
 func (rt *Router) writeNoBackend(w http.ResponseWriter, err error) {
-	rt.metrics.add(&rt.metrics.noBackend)
+	rt.metrics.add(&rt.metrics.s.NoBackendErrors)
 	httpapi.SetRetryAfter(w, time.Second)
 	httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.ErrCodeUnavailable, err)
 }
@@ -555,15 +576,15 @@ func (rt *Router) edgeGet(key, wantKind string) ([]byte, bool) {
 	}
 	kind, payload, ok := rt.edge.Get(key)
 	if !ok {
-		rt.metrics.add(&rt.metrics.edgeMisses)
+		rt.metrics.add(&rt.metrics.s.EdgeCacheMisses)
 		return nil, false
 	}
 	if kind != wantKind {
 		rt.edge.Discard(key)
-		rt.metrics.add(&rt.metrics.edgeMisses)
+		rt.metrics.add(&rt.metrics.s.EdgeCacheMisses)
 		return nil, false
 	}
-	rt.metrics.add(&rt.metrics.edgeHits)
+	rt.metrics.add(&rt.metrics.s.EdgeCacheHits)
 	return payload, true
 }
 
@@ -607,7 +628,7 @@ func (rt *Router) harvestResult(body []byte) {
 		return
 	}
 	if err := rt.edge.Put(snap.Key, snap.Kind, buf.Bytes()); err == nil {
-		rt.metrics.add(&rt.metrics.edgeHarvests)
+		rt.metrics.add(&rt.metrics.s.EdgeCacheHarvests)
 	}
 }
 

@@ -483,49 +483,57 @@ func TestRouterRejectsBadRequestAtEdge(t *testing.T) {
 }
 
 // TestRouterUnknownJobID covers the affinity failure modes: an ID
-// with no prefix and an ID naming a backend that does not exist.
+// with no prefix, an ID naming a backend that does not exist, and an
+// edge-tier ID on a router without an edge cache, on the status,
+// result and stream paths.
 func TestRouterUnknownJobID(t *testing.T) {
 	f := newFleet(t, 2, nil)
-	for _, id := range []string{"j000001-deadbeef", "b9!j000001-deadbeef"} {
-		resp, err := http.Get(f.edge.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		var env httpapi.ErrorBody
-		if resp.StatusCode != http.StatusNotFound ||
-			json.Unmarshal(buf.Bytes(), &env) != nil || env.Error.Code != httpapi.ErrCodeNotFound {
-			t.Fatalf("id %q: %d %s", id, resp.StatusCode, buf.Bytes())
+	edgeID := edgeBackendID + affinitySep + strings.Repeat("ab", 32)
+	for _, id := range []string{"j000001-deadbeef", "b9!j000001-deadbeef", edgeID} {
+		for _, suffix := range []string{"", "/result", "/stream"} {
+			resp, err := http.Get(f.edge.URL + "/v1/jobs/" + id + suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			var env httpapi.ErrorBody
+			if resp.StatusCode != http.StatusNotFound ||
+				json.Unmarshal(buf.Bytes(), &env) != nil || env.Error.Code != httpapi.ErrCodeNotFound {
+				t.Fatalf("id %q%s: %d %s", id, suffix, resp.StatusCode, buf.Bytes())
+			}
 		}
 	}
 }
 
-// TestSyncRoutesReachDecoder walks the shared route table on both
-// tiers: every synchronous path must construct its own kind
-// (/v1/<kind>), be registered (no 404/405), and decode into that
-// kind's request. A JSON array is never a valid
-// request, and the decode error names the Go type it was decoded
-// into, so the 400 bad_request proves which decoder ran.
+// TestSyncRoutesReachDecoder walks the kind table on both tiers:
+// every synchronous path must be its own kind's (/v1/<kind>), be
+// registered (no 404/405), and decode into that kind's request. A JSON
+// array is never a valid request, and the decode error names the Go
+// type it was decoded into, so the 400 bad_request proves which
+// decoder ran.
 func TestSyncRoutesReachDecoder(t *testing.T) {
 	f := newFleet(t, 1, nil)
 	tiers := map[string]string{"backend": f.servers[0].URL, "router": f.edge.URL}
-	for _, route := range api.SyncRoutes {
-		if kind := route.New().Kind(); "/v1/"+kind != route.Path {
-			t.Errorf("route %s constructs a %s request", route.Path, kind)
+	for _, k := range api.Kinds {
+		if k.Path == "" {
+			continue
 		}
-		wantType := strings.TrimPrefix(fmt.Sprintf("%T", route.New()), "*")
+		if kind := k.NewRequest().Kind(); "/v1/"+kind != k.Path {
+			t.Errorf("route %s constructs a %s request", k.Path, kind)
+		}
+		wantType := strings.TrimPrefix(fmt.Sprintf("%T", k.NewRequest()), "*")
 		for tier, base := range tiers {
-			resp, body := postJSON(t, base+route.Path, `[]`)
+			resp, body := postJSON(t, base+k.Path, `[]`)
 			var env httpapi.ErrorBody
 			if resp.StatusCode != http.StatusBadRequest ||
 				json.Unmarshal(body, &env) != nil || env.Error.Code != httpapi.ErrCodeBadRequest {
-				t.Errorf("%s POST %s: %d %s", tier, route.Path, resp.StatusCode, body)
+				t.Errorf("%s POST %s: %d %s", tier, k.Path, resp.StatusCode, body)
 				continue
 			}
 			if !strings.Contains(env.Error.Message, wantType) {
-				t.Errorf("%s POST %s: decoded by the wrong kind (want %s): %s", tier, route.Path, wantType, env.Error.Message)
+				t.Errorf("%s POST %s: decoded by the wrong kind (want %s): %s", tier, k.Path, wantType, env.Error.Message)
 			}
 		}
 	}

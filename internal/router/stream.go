@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
-	"strings"
-	"time"
 
 	"waterimm/internal/api"
 	"waterimm/internal/httpapi"
@@ -21,28 +18,14 @@ import (
 // re-served from the router's cache tier: the stored response's series
 // is synthesized back into the same event stream.
 func (rt *Router) streamProxy(w http.ResponseWriter, r *http.Request) {
-	rt.metrics.add(&rt.metrics.requests)
-	fleetID := r.PathValue("id")
-	if unescaped, err := url.PathUnescape(fleetID); err == nil {
-		fleetID = unescaped
-	}
-	owner, localID, ok := strings.Cut(fleetID, affinitySep)
-	if !ok || localID == "" {
-		httpapi.WriteError(w, http.StatusNotFound, httpapi.ErrCodeNotFound,
-			fmt.Errorf("router: job ID %q carries no backend affinity (was it issued by this router?)", fleetID))
+	fleetID, b, localID, ok := rt.resolveJob(w, r)
+	if !ok {
 		return
 	}
-	if owner == edgeBackendID {
+	if b == nil {
 		rt.edgeStream(w, r, localID)
 		return
 	}
-	b := rt.byID[owner]
-	if b == nil {
-		httpapi.WriteError(w, http.StatusNotFound, httpapi.ErrCodeNotFound,
-			fmt.Errorf("router: job ID %q names unknown backend %q", fleetID, owner))
-		return
-	}
-
 	u := *b.URL
 	u.Path = "/v1/jobs/" + url.PathEscape(localID) + "/stream"
 	u.RawQuery = r.URL.RawQuery
@@ -56,15 +39,10 @@ func (rt *Router) streamProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		// Same stance as jobProxy: the owner is unreachable and its
-		// live feed cannot be served elsewhere, but its checkpoint
-		// survives on disk — the client resubmits, the job resumes,
-		// and a fresh stream continues the interval numbering.
-		b.markDead(err)
-		rt.metrics.add(&rt.metrics.passiveEjections)
-		httpapi.SetRetryAfter(w, time.Second)
-		httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.ErrCodeUnavailable,
-			fmt.Errorf("router: backend %s owning job %s is unreachable: %w", b.ID, fleetID, err))
+		// The job's checkpoint survives on the owner's disk: the client
+		// resubmits, the job resumes, and a fresh stream continues the
+		// interval numbering.
+		rt.ownerUnreachable(w, b, fleetID, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -103,15 +81,9 @@ func (rt *Router) streamProxy(w http.ResponseWriter, r *http.Request) {
 // events, and the done event carries the synthetic edge job snapshot
 // with the full result.
 func (rt *Router) edgeStream(w http.ResponseWriter, r *http.Request, key string) {
-	from := 0
-	if q := r.URL.Query().Get("from"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			httpapi.WriteError(w, http.StatusBadRequest, httpapi.ErrCodeBadRequest,
-				fmt.Errorf("bad from parameter %q", q))
-			return
-		}
-		from = n
+	from, ok := httpapi.StreamFrom(w, r)
+	if !ok {
+		return
 	}
 	kind, payload, ok := rt.edge.Get(key)
 	if !ok {
@@ -137,11 +109,5 @@ func (rt *Router) edgeStream(w http.ResponseWriter, r *http.Request, key string)
 		httpapi.WriteError(w, http.StatusInternalServerError, httpapi.ErrCodeInternal, err)
 		return
 	}
-	for _, iv := range resp.Series {
-		if iv.Seq <= from {
-			continue
-		}
-		es.Event("interval", iv.Seq, iv)
-	}
-	es.Event("done", 0, edgeJobInfo(key, kind, payload))
+	es.Replay(resp.Series, from, edgeJobInfo(key, kind, payload))
 }

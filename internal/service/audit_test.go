@@ -333,7 +333,7 @@ func TestPlanFilmBoilingDegrades(t *testing.T) {
 	ref.ThresholdC = 80
 	ref.Params.GridNX, ref.Params.GridNY = 8, 8
 	ref.Params.CHFScale = 1e-4
-	refPlan, refRes, err := ref.MaxFrequencyResultCtx(context.Background(), power.LowPower, 1, material.Fluorinert)
+	refPlan, refRes, _, err := ref.MaxFrequencyEvalCtx(context.Background(), power.LowPower, 1, material.Fluorinert, 0)
 	if err != nil || !refPlan.Feasible {
 		t.Fatalf("reference plan: %+v, %v", refPlan, err)
 	}

@@ -13,23 +13,11 @@ import (
 // memory hit to everything downstream (including the sweep
 // orchestrator's *api.PlanResponse assertion on cell results).
 func decodeResult(kind string, payload []byte) (any, error) {
-	var res any
-	switch kind {
-	case "plan":
-		res = &api.PlanResponse{}
-	case "cosim":
-		res = &api.CosimResponse{}
-	case "sweep":
-		res = &api.SweepResponse{}
-	case "montecarlo":
-		res = &api.MonteCarloResponse{}
-	case "audit":
-		res = &api.AuditResponse{}
-	case "cosimstream":
-		res = &api.CosimStreamResponse{}
-	default:
+	k, ok := api.KindByName(kind)
+	if !ok {
 		return nil, fmt.Errorf("service: unknown cached result kind %q", kind)
 	}
+	res := k.NewResponse()
 	if err := json.Unmarshal(payload, res); err != nil {
 		return nil, fmt.Errorf("service: decode cached %s result: %w", kind, err)
 	}

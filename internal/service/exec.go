@@ -88,7 +88,7 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 			resp.CHFLimitWCM2 = limit / 1e4
 			if hotspot > limit {
 				resp.CHFExceeded = true
-				e.metrics.add(&e.metrics.chfHotspotExceedances, 1)
+				e.metrics.add(&e.metrics.s.CHFHotspotExceedances, 1)
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 	// envelope sits below every coolant's CHF); it engages when
 	// operators tighten -chf-scale or model weaker coolants.
 	if viol := res.CHFViolations(); viol > 0 {
-		e.metrics.add(&e.metrics.chfBoundaryCells, uint64(viol))
+		e.metrics.add(&e.metrics.s.CHFBoundaryCells, uint64(viol))
 		if err := e.resolveTwoPhase(ctx, p, chip, coolant, r, plan.Step.FHz, resp); err != nil {
 			return nil, err
 		}
@@ -146,7 +146,7 @@ func (e *Engine) resolveTwoPhase(ctx context.Context, p *core.Planner, chip powe
 		}
 		if i == chosen {
 			resp.FilmBoilingCells = out.FilmBoilingCells
-			e.metrics.add(&e.metrics.filmBoilingCells, uint64(out.FilmBoilingCells))
+			e.metrics.add(&e.metrics.s.FilmBoilingCells, uint64(out.FilmBoilingCells))
 		}
 		if out.PeakC <= p.ThresholdC {
 			resp.FrequencyGHz = steps[i].GHz()

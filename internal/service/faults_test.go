@@ -244,7 +244,7 @@ func TestPredictiveOverloadReject(t *testing.T) {
 	// predicts a wait far past the budget (seeding the EWMA directly
 	// keeps the test independent of real solve times).
 	e.metrics.mu.Lock()
-	e.metrics.runEWMAS = 100
+	e.metrics.s.RunEWMAS = 100
 	e.metrics.mu.Unlock()
 
 	// Occupy the worker, then put one distinct job in the queue. The

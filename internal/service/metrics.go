@@ -63,74 +63,13 @@ func (h *Histogram) clone() *Histogram {
 	return &c
 }
 
-// metrics is the engine's internal registry; Engine.Metrics returns
-// consistent snapshots.
+// metrics is the engine's internal registry: the counters, the
+// run-time EWMA, the latency histograms and the solver statistics
+// live in s, the Snapshot they are published as. Engine.Metrics
+// returns consistent copies.
 type metrics struct {
 	mu sync.Mutex
-
-	jobsSubmitted    uint64
-	jobsDone         uint64
-	jobsFailed       uint64
-	jobsCanceled     uint64
-	jobsShed         uint64
-	jobsDeadline     uint64
-	panicsRecovered  uint64
-	queueFullRejects uint64
-	overloadRejects  uint64
-	cacheHitsMem     uint64
-	cacheHitsDisk    uint64
-	cacheMisses      uint64
-	dedupHits        uint64
-
-	// Monte-Carlo workload counters: mcJobs counts montecarlo jobs that
-	// ran their orchestrator (a whole-job cache hit is served without
-	// re-running and counts in cacheHits instead); mcSamplesDeduped
-	// counts sample cells answered without a fresh solve (cache hit or
-	// deduplicated onto an in-flight twin) — the savings the shared
-	// plan keyspace buys.
-	mcJobs           uint64
-	mcSamplesDeduped uint64
-
-	// Two-phase physics counters: auditJobs counts roadmap-audit jobs
-	// that ran their orchestrator; chfHotspotExceedances counts
-	// computed operating points whose generation-side hotspot flux
-	// exceeds the coolant's boiling limit (one per point);
-	// chfBoundaryCells counts wetted boundary cells whose solved
-	// surface flux exceeds it (cells, summed over plans);
-	// filmBoilingCells counts boundary cells the two-phase re-solve
-	// pushed into the film-boiling regime.
-	auditJobs             uint64
-	chfHotspotExceedances uint64
-	chfBoundaryCells      uint64
-	filmBoilingCells      uint64
-
-	// Streaming co-simulation counters: streamJobs counts cosimstream
-	// jobs that ran their orchestrator; streamIntervals counts
-	// intervals actually solved here (resumed intervals are not
-	// re-solved, so across a restart streamIntervals +
-	// streamResumedIntervals = the run length); streamCheckpoints
-	// counts resumable-state spills to the disk tier; streamResumes
-	// counts jobs that picked a checkpoint back up, and
-	// streamResumedIntervals the intervals those checkpoints carried —
-	// the work a restart did NOT redo.
-	streamJobs             uint64
-	streamIntervals        uint64
-	streamCheckpoints      uint64
-	streamResumes          uint64
-	streamResumedIntervals uint64
-
-	// runEWMAS is an exponentially weighted moving average of job run
-	// times in seconds (α = 0.2), the basis of the engine's queue-wait
-	// prediction and Retry-After hints.
-	runEWMAS float64
-
-	// hists holds per-stage latency histograms: "queue" (submit →
-	// start, all kinds) and "run.<kind>" (start → finish).
-	hists map[string]*Histogram
-
-	// solver aggregates per-solve CG statistics keyed by
-	// preconditioner kind ("jacobi", "mg", "ichol").
-	solver map[string]*SolverStats
+	s  Snapshot
 }
 
 // SolverStats aggregates the CG solves that ran under one
@@ -145,10 +84,10 @@ type SolverStats struct {
 }
 
 func newMetrics() *metrics {
-	return &metrics{
-		hists:  map[string]*Histogram{"queue": newHistogram()},
-		solver: make(map[string]*SolverStats),
-	}
+	return &metrics{s: Snapshot{
+		LatencyS: map[string]*Histogram{"queue": newHistogram()},
+		Solver:   make(map[string]*SolverStats),
+	}}
 }
 
 // observeSolve records one CG solve; it matches the core.Planner
@@ -157,10 +96,10 @@ func newMetrics() *metrics {
 func (m *metrics) observeSolve(st thermal.SolveStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.solver[st.Preconditioner]
+	s := m.s.Solver[st.Preconditioner]
 	if s == nil {
 		s = &SolverStats{}
-		m.solver[st.Preconditioner] = s
+		m.s.Solver[st.Preconditioner] = s
 	}
 	s.Solves++
 	s.Iterations += uint64(st.Iterations)
@@ -176,10 +115,10 @@ func (m *metrics) observe(stage string, d time.Duration) {
 }
 
 func (m *metrics) observeLocked(stage string, d time.Duration) {
-	h := m.hists[stage]
+	h := m.s.LatencyS[stage]
 	if h == nil {
 		h = newHistogram()
-		m.hists[stage] = h
+		m.s.LatencyS[stage] = h
 	}
 	h.observe(d)
 }
@@ -191,10 +130,10 @@ func (m *metrics) observeRun(kind string, d time.Duration) {
 	defer m.mu.Unlock()
 	m.observeLocked("run."+kind, d)
 	const alpha = 0.2
-	if m.runEWMAS == 0 {
-		m.runEWMAS = d.Seconds()
+	if m.s.RunEWMAS == 0 {
+		m.s.RunEWMAS = d.Seconds()
 	} else {
-		m.runEWMAS = alpha*d.Seconds() + (1-alpha)*m.runEWMAS
+		m.s.RunEWMAS = alpha*d.Seconds() + (1-alpha)*m.s.RunEWMAS
 	}
 }
 
@@ -203,7 +142,7 @@ func (m *metrics) observeRun(kind string, d time.Duration) {
 func (m *metrics) runEWMA() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.runEWMAS
+	return m.s.RunEWMAS
 }
 
 func (m *metrics) add(counter *uint64, n uint64) {
@@ -334,8 +273,9 @@ type Snapshot struct {
 	PrecondReused    uint64 `json:"precond_reused"`
 	PrecondRefreshed uint64 `json:"precond_refreshed"`
 
-	// LatencyS maps stage name ("queue", "run.plan", "run.cosim",
-	// "run.sweep") to its histogram.
+	// LatencyS maps stage name to its histogram: "queue" (submit →
+	// start, every kind) and "run.<kind>" (start → finish) for each
+	// kind in api.Kinds that has run.
 	LatencyS map[string]*Histogram `json:"latency_s"`
 
 	// Solver maps preconditioner kind to aggregate CG iteration
@@ -344,46 +284,23 @@ type Snapshot struct {
 	Solver map[string]*SolverStats `json:"solver"`
 }
 
+// snapshot copies the registry, fills the derived cache totals and
+// deep-copies the histogram and solver maps. The engine's gauges are
+// Engine.Metrics' to fill.
 func (m *metrics) snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Snapshot{
-		JobsSubmitted:          m.jobsSubmitted,
-		JobsDone:               m.jobsDone,
-		JobsFailed:             m.jobsFailed,
-		JobsCanceled:           m.jobsCanceled,
-		JobsShed:               m.jobsShed,
-		JobsDeadlineExceeded:   m.jobsDeadline,
-		PanicsRecovered:        m.panicsRecovered,
-		QueueFullRejects:       m.queueFullRejects,
-		OverloadRejects:        m.overloadRejects,
-		RunEWMAS:               m.runEWMAS,
-		CacheHits:              m.cacheHitsMem + m.cacheHitsDisk,
-		CacheHitsMem:           m.cacheHitsMem,
-		CacheHitsDisk:          m.cacheHitsDisk,
-		CacheMisses:            m.cacheMisses,
-		DedupHits:              m.dedupHits,
-		MCJobs:                 m.mcJobs,
-		MCSamplesDeduped:       m.mcSamplesDeduped,
-		AuditJobs:              m.auditJobs,
-		CHFHotspotExceedances:  m.chfHotspotExceedances,
-		CHFBoundaryCells:       m.chfBoundaryCells,
-		FilmBoilingCells:       m.filmBoilingCells,
-		StreamJobs:             m.streamJobs,
-		StreamIntervals:        m.streamIntervals,
-		StreamCheckpoints:      m.streamCheckpoints,
-		StreamResumes:          m.streamResumes,
-		StreamResumedIntervals: m.streamResumedIntervals,
-		LatencyS:               make(map[string]*Histogram, len(m.hists)),
-	}
-	if total := s.CacheHits + m.cacheMisses; total > 0 {
+	s := m.s
+	s.CacheHits = s.CacheHitsMem + s.CacheHitsDisk
+	if total := s.CacheHits + s.CacheMisses; total > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(total)
 	}
-	for name, h := range m.hists {
+	s.LatencyS = make(map[string]*Histogram, len(m.s.LatencyS))
+	for name, h := range m.s.LatencyS {
 		s.LatencyS[name] = h.clone()
 	}
-	s.Solver = make(map[string]*SolverStats, len(m.solver))
-	for kind, st := range m.solver {
+	s.Solver = make(map[string]*SolverStats, len(m.s.Solver))
+	for kind, st := range m.s.Solver {
 		c := *st
 		s.Solver[kind] = &c
 	}

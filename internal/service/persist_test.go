@@ -2,8 +2,11 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -295,4 +298,32 @@ func TestRestartRecoversFromCorruptEntry(t *testing.T) {
 			t.Fatalf("repaired store has %d entries, want 2", m.DiskCacheEntries)
 		}
 	})
+}
+
+// TestDiskDecodesEveryKind stores a marshalled response of every kind
+// in api.Kinds and reads it back through the engine's disk probe: each
+// must come back as the kind's own response type, the type a memory
+// hit of that kind carries.
+func TestDiskDecodesEveryKind(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	e := New(Config{DiskCache: store})
+	defer e.Close()
+	for i, k := range api.Kinds {
+		want := k.NewResponse()
+		payload, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := fmt.Sprintf("%064x", i)
+		if err := store.Put(key, k.Name, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := e.diskLookup(key)
+		if !ok {
+			t.Fatalf("kind %s: stored response did not decode", k.Name)
+		}
+		if reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("kind %s: disk decode yields %T, want %T", k.Name, got, want)
+		}
+	}
 }

@@ -338,7 +338,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 	if e.closed && !internal {
 		return JobInfo{}, ErrClosed
 	}
-	e.metrics.add(&e.metrics.jobsSubmitted, 1)
+	e.metrics.add(&e.metrics.s.JobsSubmitted, 1)
 
 	res, hit := e.cache.get(key)
 	// A fired cache-lookup failpoint degrades the hit into a miss:
@@ -348,12 +348,12 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		hit = false
 	}
 	if hit {
-		e.metrics.add(&e.metrics.cacheHitsMem, 1)
+		e.metrics.add(&e.metrics.s.CacheHitsMem, 1)
 		return e.cachedDoneLocked(req, key, res), nil
 	}
 
 	if f, ok := e.inflight[key]; ok {
-		e.metrics.add(&e.metrics.dedupHits, 1)
+		e.metrics.add(&e.metrics.s.DedupHits, 1)
 		in := f.info()
 		in.Deduped = true
 		return in, nil
@@ -371,22 +371,22 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 			return JobInfo{}, ErrClosed
 		}
 		if memRes, memHit := e.cache.get(key); memHit {
-			e.metrics.add(&e.metrics.cacheHitsMem, 1)
+			e.metrics.add(&e.metrics.s.CacheHitsMem, 1)
 			return e.cachedDoneLocked(req, key, memRes), nil
 		}
 		if f, okf := e.inflight[key]; okf {
-			e.metrics.add(&e.metrics.dedupHits, 1)
+			e.metrics.add(&e.metrics.s.DedupHits, 1)
 			in := f.info()
 			in.Deduped = true
 			return in, nil
 		}
 		if ok {
-			e.metrics.add(&e.metrics.cacheHitsDisk, 1)
+			e.metrics.add(&e.metrics.s.CacheHitsDisk, 1)
 			e.cache.add(key, res)
 			return e.cachedDoneLocked(req, key, res), nil
 		}
 	}
-	e.metrics.add(&e.metrics.cacheMisses, 1)
+	e.metrics.add(&e.metrics.s.CacheMisses, 1)
 
 	// Predictive load shedding: once the queue is deep enough that a
 	// new job would wait out its welcome, reject at the door with a
@@ -394,7 +394,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 	// Internal submissions (fan-out cells) bypass this — their job was
 	// already admitted, and starving it would livelock the batch path.
 	if !internal && e.cfg.MaxQueueWait > 0 && e.estimatedWaitLocked() > e.cfg.MaxQueueWait {
-		e.metrics.add(&e.metrics.overloadRejects, 1)
+		e.metrics.add(&e.metrics.s.OverloadRejects, 1)
 		return JobInfo{}, &OverloadError{Err: ErrOverloaded, RetryAfter: e.retryAfterLocked()}
 	}
 
@@ -430,7 +430,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		}
 	case *api.MonteCarloRequest:
 		j.progress = &api.SweepProgress{TotalCells: r.TotalCells()}
-		e.metrics.add(&e.metrics.mcJobs, 1)
+		e.metrics.add(&e.metrics.s.MCJobs, 1)
 		body = func() (any, error) {
 			res, err := e.runCells(j, r.Cells())
 			if err != nil {
@@ -440,7 +440,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		}
 	case *api.AuditRequest:
 		j.progress = &api.SweepProgress{TotalCells: r.TotalCells()}
-		e.metrics.add(&e.metrics.auditJobs, 1)
+		e.metrics.add(&e.metrics.s.AuditJobs, 1)
 		body = func() (any, error) {
 			res, err := e.runCells(j, r.Cells())
 			if err != nil {
@@ -451,7 +451,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 	case *api.CosimStreamRequest:
 		j.progress = &api.SweepProgress{TotalCells: r.Intervals}
 		j.stream = newStreamState()
-		e.metrics.add(&e.metrics.streamJobs, 1)
+		e.metrics.add(&e.metrics.s.StreamJobs, 1)
 		body = func() (any, error) { return e.runStream(j, r) }
 	}
 	if body != nil {
@@ -466,7 +466,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 	default:
 		j.cancel()
 		delete(e.jobs, j.id)
-		e.metrics.add(&e.metrics.queueFullRejects, 1)
+		e.metrics.add(&e.metrics.s.QueueFullRejects, 1)
 		return JobInfo{}, &OverloadError{
 			Err:        fmt.Errorf("%w (depth %d)", ErrQueueFull, e.cfg.QueueDepth),
 			RetryAfter: e.retryAfterLocked(),
@@ -653,7 +653,7 @@ func (e *Engine) finalize(j *job, result any, err error) {
 		j.state = StateDone
 		j.result = result
 		e.cache.add(j.key, result)
-		e.metrics.add(&e.metrics.jobsDone, 1)
+		e.metrics.add(&e.metrics.s.JobsDone, 1)
 	} else {
 		e.failLocked(j, err)
 	}
@@ -677,7 +677,7 @@ func (e *Engine) failLocked(j *job, err error) {
 	case errors.Is(err, ErrShed):
 		j.state = StateFailed
 		j.errCode = CodeShed
-		e.metrics.add(&e.metrics.jobsShed, 1)
+		e.metrics.add(&e.metrics.s.JobsShed, 1)
 	case errors.Is(err, ErrStreamDrained):
 		// A draining engine parked the stream behind a checkpoint; the
 		// job's own context is still live, so this must be classified
@@ -685,24 +685,24 @@ func (e *Engine) failLocked(j *job, err error) {
 		// a resubmission after restart picks the checkpoint back up.
 		j.state = StateCanceled
 		j.errCode = CodeCanceled
-		e.metrics.add(&e.metrics.jobsCanceled, 1)
+		e.metrics.add(&e.metrics.s.JobsCanceled, 1)
 	case errors.Is(j.ctx.Err(), context.DeadlineExceeded):
 		j.state = StateFailed
 		j.errCode = CodeDeadline
-		e.metrics.add(&e.metrics.jobsDeadline, 1)
+		e.metrics.add(&e.metrics.s.JobsDeadlineExceeded, 1)
 	case j.ctx.Err() != nil:
 		j.state = StateCanceled
 		j.errCode = CodeCanceled
-		e.metrics.add(&e.metrics.jobsCanceled, 1)
+		e.metrics.add(&e.metrics.s.JobsCanceled, 1)
 	case errors.As(err, &pe):
 		j.state = StateFailed
 		j.errCode = CodePanic
-		e.metrics.add(&e.metrics.panicsRecovered, 1)
-		e.metrics.add(&e.metrics.jobsFailed, 1)
+		e.metrics.add(&e.metrics.s.PanicsRecovered, 1)
+		e.metrics.add(&e.metrics.s.JobsFailed, 1)
 	default:
 		j.state = StateFailed
 		j.errCode = CodeInternal
-		e.metrics.add(&e.metrics.jobsFailed, 1)
+		e.metrics.add(&e.metrics.s.JobsFailed, 1)
 	}
 }
 
@@ -801,7 +801,7 @@ func (e *Engine) reduceMonteCarlo(req *api.MonteCarloRequest, res []cellResult) 
 		ExceedC:    req.ExceedC,
 	}
 	resp.CachedCells, resp.DedupedCells = tally(res)
-	e.metrics.add(&e.metrics.mcSamplesDeduped, uint64(resp.CachedCells+resp.DedupedCells))
+	e.metrics.add(&e.metrics.s.MCSamplesDeduped, uint64(resp.CachedCells+resp.DedupedCells))
 	freq := make([]float64, len(res))
 	peak := make([]float64, len(res))
 	for i, c := range res {
@@ -911,7 +911,7 @@ func (e *Engine) Cancel(id string) (JobInfo, error) {
 		j.cancel()
 		delete(e.inflight, j.key)
 		e.rememberFinishedLocked(j)
-		e.metrics.add(&e.metrics.jobsCanceled, 1)
+		e.metrics.add(&e.metrics.s.JobsCanceled, 1)
 		close(j.done)
 	case StateRunning:
 		j.cancel()

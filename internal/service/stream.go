@@ -110,8 +110,8 @@ func (e *Engine) runStream(j *job, req *api.CosimStreamRequest) (*api.CosimStrea
 				e.disk.Discard(ckptKey)
 			} else if ck.Seq > 0 {
 				e.publishSamples(j, ck.Samples)
-				e.metrics.add(&e.metrics.streamResumes, 1)
-				e.metrics.add(&e.metrics.streamResumedIntervals, uint64(ck.Seq))
+				e.metrics.add(&e.metrics.s.StreamResumes, 1)
+				e.metrics.add(&e.metrics.s.StreamResumedIntervals, uint64(ck.Seq))
 				e.mu.Lock()
 				j.resumedFrom = ck.Seq
 				e.mu.Unlock()
@@ -135,7 +135,7 @@ func (e *Engine) runStream(j *job, req *api.CosimStreamRequest) (*api.CosimStrea
 			}
 			return nil, err
 		}
-		e.metrics.add(&e.metrics.streamIntervals, 1)
+		e.metrics.add(&e.metrics.s.StreamIntervals, 1)
 		e.publishSamples(j, []cosim.StreamSample{sample})
 		sinceCkpt++
 		if e.disk != nil && sinceCkpt >= req.CheckpointEvery && !st.Done() {
@@ -194,7 +194,7 @@ func (e *Engine) saveStreamCheckpoint(ckptKey string, st *cosim.Stream) {
 		return
 	}
 	if e.disk.Put(ckptKey, streamCheckpointKind, payload) == nil {
-		e.metrics.add(&e.metrics.streamCheckpoints, 1)
+		e.metrics.add(&e.metrics.s.StreamCheckpoints, 1)
 	}
 }
 

@@ -42,7 +42,7 @@ import (
 // applied from per-axis weight tables. Every kernel sums each row in
 // the order the CSR form it replaced did, so results are bit-identical
 // to CSR loops (TestStencilKernelsMatchCSR).
-// The cycle is symmetric (ν₁ = ν₂ line sweeps with a symmetric M,
+// The cycle is symmetric (ν₁ = ν₂ = 1 line sweep with a symmetric M,
 // exact dense Cholesky on the coarsest level, R = Pᵀ), and the coarse
 // correction P·A_c⁻¹·Pᵀ is positive semi-definite for any SPD A_c, so
 // the V-cycle is a fixed SPD operator and preconditioned CG theory
@@ -57,13 +57,13 @@ import (
 type Multigrid struct {
 	levels []*mgLevel
 	chol   *denseChol
-	// omega damps the line-relaxation correction. 0.9 measured best
-	// on immersion stacks; 1.0 (undamped) can cost the V-cycle its
-	// positive definiteness and stalls CG.
-	omega float64
-	// smooths is the number of pre- and of post-smoothing sweeps.
-	smooths int
 }
+
+// mgOmega damps the line-relaxation correction. 0.9 measured best on
+// immersion stacks; 1.0 (undamped) can cost the V-cycle its positive
+// definiteness and stalls CG. Every level runs one pre- and one
+// post-smoothing sweep.
+const mgOmega = 0.9
 
 // mgLevel is one grid level: its seven-point operator, the z-line
 // smoother factorization, the interpolation to/from the next coarser
@@ -173,7 +173,7 @@ func buildMultigrid(s *System) (*Multigrid, error) {
 		op:  a,
 		res: make([]float64, s.N),
 	}
-	mg := &Multigrid{levels: []*mgLevel{fine}, omega: 0.9, smooths: 1}
+	mg := &Multigrid{levels: []*mgLevel{fine}}
 
 	layers := a.layers
 	cur := fine
@@ -572,40 +572,32 @@ func (m *Multigrid) vcycle(li int, x, b []float64) {
 		m.chol.solve(x, b)
 		return
 	}
-	omega := m.omega
-	// First pre-smooth from the zero guess collapses to x = ω·M⁻¹·b.
+	// The pre-smooth from the zero guess collapses to x = ω·M⁻¹·b.
 	copy(x, b)
 	l.lineSolve(x)
-	if omega != 1 {
-		parallel.For(l.n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				x[i] *= omega
-			}
-		})
-	}
-	for s := 1; s < m.smooths; s++ {
-		l.smooth(x, b, omega)
-	}
-	// Residual, restrict, recurse, correct.
+	parallel.For(l.n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x[i] *= mgOmega
+		}
+	})
+	// Residual, restrict, recurse, correct, post-smooth.
 	l.op.mul(l.res, x, b)
 	next := m.levels[li+1]
 	l.xfer.restrict(next.b, l.res)
 	m.vcycle(li+1, next.x, next.b)
 	l.xfer.prolongAdd(x, next.x)
-	for s := 0; s < m.smooths; s++ {
-		l.smooth(x, b, omega)
-	}
+	l.smooth(x, b)
 }
 
 // smooth performs one damped z-line sweep x += ω·M⁻¹·(b − A·x),
 // using the level's residual buffer.
-func (l *mgLevel) smooth(x, b []float64, omega float64) {
+func (l *mgLevel) smooth(x, b []float64) {
 	res := l.res
 	l.op.mul(res, x, b)
 	l.lineSolve(res)
 	parallel.For(l.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			x[i] += omega * res[i]
+			x[i] += mgOmega * res[i]
 		}
 	})
 }

@@ -369,31 +369,17 @@ func refHierarchy(a *refCSR, mg *Multigrid) []*refLevel {
 }
 
 // refVCycle is the V-cycle over the CSR reference hierarchy, sharing
-// mg's coarsest factor and damping.
+// mg's coarsest factor and the damping mgOmega.
 func refVCycle(levels []*refLevel, mg *Multigrid, li int, x, b []float64) {
 	l := levels[li]
 	if li == len(levels)-1 {
 		mg.chol.solve(x, b)
 		return
 	}
-	omega := mg.omega
-	smooth := func() {
-		l.a.mul(l.res, x)
-		for i := range l.res {
-			l.res[i] = b[i] - l.res[i]
-		}
-		refLineSolve(l.res, l.invD, l.lineC, l.nc, l.layers)
-		for i := range x {
-			x[i] += omega * l.res[i]
-		}
-	}
 	copy(x, b)
 	refLineSolve(x, l.invD, l.lineC, l.nc, l.layers)
 	for i := range x {
-		x[i] *= omega
-	}
-	for s := 1; s < mg.smooths; s++ {
-		smooth()
+		x[i] *= mgOmega
 	}
 	l.a.mul(l.res, x)
 	for i := range l.res {
@@ -407,8 +393,13 @@ func refVCycle(levels []*refLevel, mg *Multigrid, li int, x, b []float64) {
 	for i := range x {
 		x[i] += corr[i]
 	}
-	for s := 0; s < mg.smooths; s++ {
-		smooth()
+	l.a.mul(l.res, x)
+	for i := range l.res {
+		l.res[i] = b[i] - l.res[i]
+	}
+	refLineSolve(l.res, l.invD, l.lineC, l.nc, l.layers)
+	for i := range x {
+		x[i] += mgOmega * l.res[i]
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package client is the typed Go client of the watersrvd HTTP API.
 //
-// The synchronous helpers (Plan, Cosim, Sweep, MonteCarlo) mirror the
-// server's synchronous endpoints: they block until the simulation
-// finishes, transparently falling back to the async job API when the
-// server answers 202 because the request outlived its sync budget.
+// The synchronous helpers (Plan, Cosim, Sweep, MonteCarlo, Audit)
+// mirror the server's synchronous endpoints: they block until the
+// simulation finishes, transparently falling back to the async job API
+// when the server answers 202 because the request outlived its sync
+// budget.
 // The job helpers (SubmitJob, Job, Result, Cancel, WaitJob) expose
 // the async surface directly for callers that want to multiplex work;
 // SubmitJob speaks the canonical typed job envelope ({"type": ...,
@@ -132,29 +133,17 @@ func (j *Job) Terminal() bool {
 
 // Plan runs a plan request to completion.
 func (c *Client) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
-	var resp api.PlanResponse
-	if err := c.sync(ctx, "/v1/plan", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return syncCall[api.PlanResponse](ctx, c, req)
 }
 
 // Cosim runs a co-simulation request to completion.
 func (c *Client) Cosim(ctx context.Context, req *api.CosimRequest) (*api.CosimResponse, error) {
-	var resp api.CosimResponse
-	if err := c.sync(ctx, "/v1/cosim", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return syncCall[api.CosimResponse](ctx, c, req)
 }
 
 // Sweep runs a batched sweep request to completion.
 func (c *Client) Sweep(ctx context.Context, req *api.SweepRequest) (*api.SweepResponse, error) {
-	var resp api.SweepResponse
-	if err := c.sync(ctx, "/v1/sweep", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return syncCall[api.SweepResponse](ctx, c, req)
 }
 
 // MonteCarlo runs a Monte-Carlo uncertainty sweep to completion and
@@ -164,11 +153,7 @@ func (c *Client) Sweep(ctx context.Context, req *api.SweepRequest) (*api.SweepRe
 // async job API transparently, but callers wanting progress reporting
 // should SubmitJob and poll.
 func (c *Client) MonteCarlo(ctx context.Context, req *api.MonteCarloRequest) (*api.MonteCarloResponse, error) {
-	var resp api.MonteCarloResponse
-	if err := c.sync(ctx, "/v1/montecarlo", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return syncCall[api.MonteCarloResponse](ctx, c, req)
 }
 
 // Audit runs a chip-roadmap audit synchronously (POST /v1/audit): for
@@ -176,17 +161,13 @@ func (c *Client) MonteCarlo(ctx context.Context, req *api.MonteCarloRequest) (*a
 // power-density growth — the pair fails on critical heat flux or on
 // the junction threshold.
 func (c *Client) Audit(ctx context.Context, req *api.AuditRequest) (*api.AuditResponse, error) {
-	var resp api.AuditResponse
-	if err := c.sync(ctx, "/v1/audit", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return syncCall[api.AuditResponse](ctx, c, req)
 }
 
-// SubmitJob enqueues a request of any kind — plan, cosim, sweep,
-// montecarlo — on the canonical job endpoint (POST /v1/jobs) under
-// the typed job envelope, and returns the job's initial snapshot
-// (terminal immediately on a cache hit).
+// SubmitJob enqueues a request of any kind in api.Kinds — plan,
+// cosim, sweep, montecarlo, audit, cosimstream — on the canonical job
+// endpoint (POST /v1/jobs) under the typed job envelope, and returns
+// the job's initial snapshot (terminal immediately on a cache hit).
 func (c *Client) SubmitJob(ctx context.Context, req api.Request) (*Job, error) {
 	env, err := api.NewJobEnvelope(req)
 	if err != nil {
@@ -258,34 +239,40 @@ func (c *Client) Metrics(ctx context.Context) (map[string]json.RawMessage, error
 	return m, nil
 }
 
-// sync posts req to a synchronous endpoint and decodes the bare
-// response into out. A 202 means the request outlived the server's
-// sync budget: the job keeps running, so fall through to the async
-// API and wait for it there.
-func (c *Client) sync(ctx context.Context, path string, req api.Request, out any) error {
-	status, body, header, err := c.roundTrip(ctx, http.MethodPost, path, req)
+// syncCall posts req to its kind's synchronous endpoint (api.Kinds)
+// and decodes the bare response as R. A 202 means the request outlived
+// the server's sync budget: the job keeps running, so fall through to
+// the async API and wait for it there.
+func syncCall[R any](ctx context.Context, c *Client, req api.Request) (*R, error) {
+	// Every typed helper passes a listed kind that has a sync path.
+	k, _ := api.KindByName(req.Kind())
+	status, body, header, err := c.roundTrip(ctx, http.MethodPost, k.Path, req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch status {
 	case http.StatusOK:
-		return decodeInto(body, out)
 	case http.StatusAccepted:
 		var j Job
 		if err := decodeInto(body, &j); err != nil {
-			return err
+			return nil, err
 		}
 		final, err := c.WaitJob(ctx, j.ID)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if final.State != "done" {
-			return fmt.Errorf("client: job %s ended %s: %s", final.ID, final.State, final.Error)
+			return nil, fmt.Errorf("client: job %s ended %s: %s", final.ID, final.State, final.Error)
 		}
-		return decodeInto(final.Result, out)
+		body = final.Result
 	default:
-		return apiError(status, body, header)
+		return nil, apiError(status, body, header)
 	}
+	var out R
+	if err := decodeInto(body, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // do performs one API call expecting a 2xx JSON body decoded into
