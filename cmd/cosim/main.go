@@ -36,19 +36,13 @@ var (
 	flagCSV      = flag.Bool("csv", false, "emit the trace as CSV")
 )
 
-var chipAlias = map[string]string{"lp": "low-power", "hf": "high-frequency"}
-
 func main() {
 	flag.Parse()
 	bench, err := npb.ByName(*flagBench)
 	fail(err)
 	coolant, err := material.ByName(*flagCoolant)
 	fail(err)
-	name, ok := chipAlias[*flagChip]
-	if !ok {
-		name = *flagChip
-	}
-	chip, err := power.ModelByName(name)
+	chip, err := power.ModelByName(power.CanonicalName(*flagChip))
 	fail(err)
 
 	params := stack.DefaultParams()

@@ -27,17 +27,9 @@ var (
 	flagCSV       = flag.Bool("csv", false, "emit CSV")
 )
 
-var chipAlias = map[string]string{
-	"lp": "low-power", "hf": "high-frequency", "e5": "e5", "phi": "phi",
-}
-
 func main() {
 	flag.Parse()
-	name, ok := chipAlias[*flagChip]
-	if !ok {
-		name = *flagChip
-	}
-	chip, err := power.ModelByName(name)
+	chip, err := power.ModelByName(power.CanonicalName(*flagChip))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "freqsweep:", err)
 		os.Exit(1)

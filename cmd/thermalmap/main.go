@@ -15,6 +15,7 @@ import (
 	"waterimm/internal/material"
 	"waterimm/internal/power"
 	"waterimm/internal/report"
+	"waterimm/internal/stack"
 )
 
 var (
@@ -26,17 +27,9 @@ var (
 	flagCSV     = flag.Bool("csv", false, "emit per-cell CSV instead of ASCII maps")
 )
 
-var chipAlias = map[string]string{
-	"lp": "low-power", "hf": "high-frequency", "e5": "e5", "phi": "phi",
-}
-
 func main() {
 	flag.Parse()
-	name, ok := chipAlias[*flagChip]
-	if !ok {
-		name = *flagChip
-	}
-	chip, err := power.ModelByName(name)
+	chip, err := power.ModelByName(power.CanonicalName(*flagChip))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "thermalmap:", err)
 		os.Exit(1)
@@ -55,7 +48,7 @@ func main() {
 	fmt.Printf("%s, %d chips, %s, %.1f GHz, flip=%v: peak %.1f C\n",
 		chip.Name, *flagChips, coolant.Name, *flagGHz, *flagFlip, res.Max())
 	for die := 0; die < *flagChips; die++ {
-		layer := 2 * die
+		layer := stack.DieLayer(die)
 		field := res.LayerMap(layer)
 		if *flagCSV {
 			var rows [][]string

@@ -72,12 +72,6 @@ type Request interface {
 	CacheKey() string
 }
 
-// chipAlias maps the short chip spellings the CLIs accept onto the
-// canonical power.Model names.
-var chipAlias = map[string]string{
-	"lp": "low-power", "hf": "high-frequency",
-}
-
 // PlanRequest asks for the maximum temperature-constrained operating
 // frequency of a chip stack under a coolant (core.Planner).
 type PlanRequest struct {
@@ -367,9 +361,7 @@ func normStack(chip *string, def string, chips *int, coolant *string, nx, ny *in
 	if *chip == "" {
 		*chip = def
 	}
-	if full, ok := chipAlias[*chip]; ok {
-		*chip = full
-	}
+	*chip = power.CanonicalName(*chip)
 	if *chips == 0 {
 		*chips = 1
 	}

@@ -66,15 +66,15 @@ type AuditRequest struct {
 // Kind implements Request.
 func (r *AuditRequest) Kind() string { return "audit" }
 
-// canonicalNames resolves aliases, collapses duplicates and sorts, so
-// every spelling of the same set shares one canonical form (and one
-// cache key).
-func canonicalNames(names []string, alias map[string]string) []string {
+// canonicalNames resolves each name through canon (nil keeps names as
+// they are), collapses duplicates and sorts, so every spelling of the
+// same set shares one canonical form (and one cache key).
+func canonicalNames(names []string, canon func(string) string) []string {
 	seen := make(map[string]bool, len(names))
 	out := make([]string, 0, len(names))
 	for _, n := range names {
-		if full, ok := alias[n]; ok {
-			n = full
+		if canon != nil {
+			n = canon(n)
 		}
 		if !seen[n] {
 			seen[n] = true
@@ -100,7 +100,7 @@ func (r *AuditRequest) Normalize() {
 	if len(r.Chips) == 0 {
 		r.Chips = []string{"low-power"}
 	}
-	r.Chips = canonicalNames(r.Chips, chipAlias)
+	r.Chips = canonicalNames(r.Chips, power.CanonicalName)
 	if len(r.Coolants) == 0 {
 		r.Coolants = coolantNames()
 	}

@@ -50,7 +50,7 @@ func (r *SweepRequest) Normalize() {
 	if len(r.Chips) == 0 {
 		r.Chips = []string{"low-power"}
 	}
-	r.Chips = canonicalNames(r.Chips, chipAlias)
+	r.Chips = canonicalNames(r.Chips, power.CanonicalName)
 	if len(r.Depths) == 0 {
 		r.Depths = []int{1, 2, 3, 4, 5, 6, 7, 8}
 	}

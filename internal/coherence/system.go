@@ -193,15 +193,6 @@ func (s *System) deliver(p *noc.Packet) {
 	}
 }
 
-// PreloadLine sets the DRAM image for a line (tests and workload
-// initialisation).
-func (s *System) PreloadLine(addr, value uint64) {
-	s.memValue[s.Cfg.Line(addr)] = value
-}
-
-// MemImage exposes the DRAM image (read-only use).
-func (s *System) MemImage() map[uint64]uint64 { return s.memValue }
-
 // CheckInvariants validates global protocol invariants; tests call it
 // at quiescence. It verifies that (1) at most one L1 holds a line in
 // M or E, (2) an M/E/O holder is the registered owner at the home,

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"waterimm/internal/convection"
-	"waterimm/internal/floorplan"
 	"waterimm/internal/material"
-	"waterimm/internal/mcpat"
 	"waterimm/internal/power"
 	"waterimm/internal/proto"
 	"waterimm/internal/reliability"
@@ -123,55 +121,23 @@ type MicrochannelPoint struct {
 // the literature considers them for 3-D ICs — at the cost of the
 // fabrication complexity the paper's immersion approach avoids.
 func Microchannel() ([]MicrochannelPoint, error) {
+	imm, ch := NewPlanner(), NewPlanner()
+	ch.Params.InterDieChannels = true
 	var out []MicrochannelPoint
 	for _, chips := range []int{2, 4, 8, 12} {
-		imm := NewPlanner()
-		plan, err := imm.MaxFrequency(power.HighFrequency, chips, material.Water)
+		ip, err := imm.MaxFrequency(power.HighFrequency, chips, material.Water)
 		if err != nil {
 			return nil, err
 		}
-		ch, err := maxFreqWithChannels(chips)
+		cp, err := ch.MaxFrequency(power.HighFrequency, chips, material.Water)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, MicrochannelPoint{
-			Chips: chips, ImmersionGHz: plan.FrequencyGHz(), ChannelGHz: ch,
+			Chips: chips, ImmersionGHz: ip.FrequencyGHz(), ChannelGHz: cp.FrequencyGHz(),
 		})
 	}
 	return out, nil
-}
-
-// maxFreqWithChannels is MaxFrequency with InterDieChannels set; the
-// planner API keeps the common case simple, so the channel variant
-// walks the VFS table directly.
-func maxFreqWithChannels(chips int) (float64, error) {
-	p := NewPlanner()
-	best := 0.0
-	for _, s := range power.HighFrequency.Steps() {
-		base, err := mcpat.ChipAt(power.HighFrequency, s, p.ThresholdC)
-		if err != nil {
-			return 0, err
-		}
-		dies := make([]*floorplan.Floorplan, chips)
-		for i := range dies {
-			dies[i] = base
-		}
-		model, err := stack.Build(stack.Config{
-			Params: p.Params, Coolant: material.Water, Dies: dies,
-			InterDieChannels: true,
-		})
-		if err != nil {
-			return 0, err
-		}
-		res, err := thermal.Solve(model, thermal.SolveOptions{})
-		if err != nil {
-			return 0, err
-		}
-		if res.Max() <= p.ThresholdC {
-			best = s.GHz()
-		}
-	}
-	return best, nil
 }
 
 // LifetimePoint is one sample of the silicon-lifetime study.

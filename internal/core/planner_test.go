@@ -4,8 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"waterimm/internal/floorplan"
 	"waterimm/internal/material"
+	"waterimm/internal/mcpat"
 	"waterimm/internal/power"
+	"waterimm/internal/stack"
+	"waterimm/internal/thermal"
 )
 
 func fastPlanner() *Planner {
@@ -245,5 +249,60 @@ func TestLeakageFixedPoint(t *testing.T) {
 	}
 	if d := c - b; d > 1 || d < -1 {
 		t.Errorf("fixed point not self-consistent: resolve at %.2f C gives %.2f C", b, c)
+	}
+}
+
+// coldChannelWalk is the oracle for channel stacks: a cold assembly
+// and solve at every VFS step, keeping the fastest step at or below
+// the threshold, with leakage at the threshold.
+func coldChannelWalk(t *testing.T, p *Planner, chip power.Model, chips int) float64 {
+	t.Helper()
+	best := 0.0
+	for _, s := range chip.Steps() {
+		base, err := mcpat.ChipAt(chip, s, p.ThresholdC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dies := make([]*floorplan.Floorplan, chips)
+		for i := range dies {
+			dies[i] = base
+		}
+		model, err := stack.Build(stack.Config{Params: p.Params, Coolant: material.Water, Dies: dies})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := thermal.Solve(model, thermal.SolveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Max() <= p.ThresholdC {
+			best = s.FHz
+		}
+	}
+	return best
+}
+
+// TestChannelPlannerMatchesColdWalk checks that the planner plans
+// inter-die microchannel stacks (Params.InterDieChannels) exactly as a
+// cold linear walk over the VFS table does, at thresholds whose answer
+// lies strictly inside the table.
+func TestChannelPlannerMatchesColdWalk(t *testing.T) {
+	chip := power.HighFrequency
+	const chips = 8
+	for _, threshold := range []float64{40, 45, 50, 55} {
+		p := fastPlanner()
+		p.Params.InterDieChannels = true
+		p.ThresholdC = threshold
+		want := coldChannelWalk(t, p, chip, chips)
+		if want <= chip.FMinHz || want >= chip.FMaxHz {
+			t.Fatalf("threshold %g °C: cold walk found %.1f GHz, not strictly inside the table", threshold, want/1e9)
+		}
+		plan, err := p.MaxFrequency(chip, chips, material.Water)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.Feasible || plan.Step.FHz != want {
+			t.Errorf("threshold %g °C: planner found %.1f GHz, cold walk %.1f GHz", threshold, plan.FrequencyGHz(), want/1e9)
+		}
 	}
 }

@@ -16,13 +16,21 @@ import (
 // under multigrid must pick the same VFS step and land on the same
 // thermal field as under Jacobi, on each of the paper's cooling
 // regimes — air (heatsink path with its lumped extras), the
-// water-pipe cold plate, and dielectric immersion.
+// water-pipe cold plate, dielectric immersion — and water immersion on
+// the smallest grid the API allows.
 func TestMultigridMatchesJacobiAcrossCoolants(t *testing.T) {
-	coolants := []material.Coolant{material.Air, material.WaterPipe, material.Fluorinert}
-	for _, coolant := range coolants {
+	// The 4×4 case has no coarse level: the fine level, lumped extras
+	// included, is the coarsest one and goes straight to the dense
+	// factorization.
+	cases := []struct {
+		coolant material.Coolant
+		grid    int
+	}{{material.Air, 32}, {material.WaterPipe, 32}, {material.Fluorinert, 32}, {material.Water, 4}}
+	for _, tc := range cases {
+		coolant := tc.coolant
 		run := func(kind string) (Plan, *thermal.Result, thermal.SolveStats) {
 			p := fastPlanner()
-			p.Params.GridNX, p.Params.GridNY = 32, 32
+			p.Params.GridNX, p.Params.GridNY = tc.grid, tc.grid
 			p.Precond = kind
 			var last thermal.SolveStats
 			var mu sync.Mutex

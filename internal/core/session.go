@@ -18,8 +18,8 @@ import (
 // conductance matrix depends only on the geometry, coolant and grid —
 // not on the power vector — so a session assembles the thermal system
 // once and re-solves it for every VFS step of a frequency search,
-// seeding each conjugate-gradient solve with the previous step's
-// temperature field. This is what makes sweeps batch-shaped: the
+// seeding each conjugate-gradient solve from its superposition basis
+// (see sessionBasis). This is what makes sweeps batch-shaped: the
 // planner's binary search costs one assembly instead of one per
 // solve, and warm starts cut the CG iteration count on top.
 //
@@ -45,7 +45,9 @@ type Session struct {
 	gkey string
 	ref  *geomRef
 
-	// guess carries the previous solve's field as the next warm start.
+	// guess is the buffer for the superposed warm start solveAt builds
+	// from the basis; nil until the basis exists (the first solve runs
+	// cold).
 	guess []float64
 	// basis, once built, makes further solves nearly free: see
 	// buildBasis. solves counts solveAt calls to trigger it lazily.
@@ -343,12 +345,6 @@ func (s *Session) solveAt(ctx context.Context, step power.Step, leakTemp float64
 	if err != nil {
 		return nil, err
 	}
-	// Keep a private copy as the next warm start: the caller owns the
-	// returned field and may mutate it.
-	if s.guess == nil {
-		s.guess = make([]float64, len(t))
-	}
-	copy(s.guess, t)
 	return &thermal.Result{Model: s.model, T: t}, nil
 }
 

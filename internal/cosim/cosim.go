@@ -1,8 +1,9 @@
-// Package cosim couples the full-system performance simulator with
-// the transient thermal model at a fixed wall-clock interval — the
-// gem5 ↔ HotSpot transient co-simulation that the paper's worst-case
-// methodology deliberately avoids (Section 4.3) and its related work
-// discusses (3D-ICE, FloTHERM). Every interval:
+// Package cosim couples the full-system performance simulator (the
+// machine package fullsys builds) with the transient thermal model at
+// a fixed wall-clock interval — the gem5 ↔ HotSpot transient
+// co-simulation that the paper's worst-case methodology deliberately
+// avoids (Section 4.3) and its related work discusses (3D-ICE,
+// FloTHERM). Every interval:
 //
 //  1. the event kernel advances the workload by Δt of simulated time;
 //  2. the interval's architectural activity (instructions, cache and
@@ -26,9 +27,9 @@ import (
 	"fmt"
 	"math"
 
-	"waterimm/internal/coherence"
 	"waterimm/internal/cpu"
 	"waterimm/internal/floorplan"
+	"waterimm/internal/fullsys"
 	"waterimm/internal/material"
 	"waterimm/internal/mcpat"
 	"waterimm/internal/npb"
@@ -213,7 +214,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			TimeS: smp.TimeS, FHz: smp.FHz, PeakC: smp.PeakC,
 			DynamicW: smp.DynamicW, StaticW: smp.StaticW, IPS: src.ips,
 		})
-		if cfg.DurationS <= 0 && allDone(src.cores) {
+		if cfg.DurationS <= 0 && src.m.Done() {
 			break
 		}
 	}
@@ -225,30 +226,22 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		return res, nil
 	}
-	if !allDone(src.cores) {
+	if !src.m.Done() {
 		return nil, fmt.Errorf("cosim: workload did not finish within %d intervals", cfg.MaxIntervals)
 	}
-	var finish sim.Time
-	for _, c := range src.cores {
-		if c.Stats.FinishedAt > finish {
-			finish = c.Stats.FinishedAt
-		}
-	}
-	res.Seconds = finish.Seconds()
+	res.Seconds = src.m.Finish().Seconds()
 	return res, nil
 }
 
-// kernelSource is the event-kernel power source: each interval runs
-// the workload to the interval's end with the core clock at the
-// operating point, and the interval's architectural activity becomes
-// dynamic power, distributed over the floorplan with the chip's
-// component shares as the spatial prior.
+// kernelSource is the event-kernel power source: it drives
+// fullsys's machine, each interval running the workload to the
+// interval's end with the core clock at the operating point, and the
+// interval's architectural activity becomes dynamic power, distributed
+// over the floorplan with the chip's component shares as the spatial
+// prior.
 type kernelSource struct {
 	cfg      Config
-	k        *sim.Kernel
-	sys      *coherence.System
-	clock    *cpu.Clock
-	cores    []*cpu.Core
+	m        *fullsys.Machine
 	loops    []*loopStream
 	interval sim.Time
 	deadline sim.Time
@@ -258,35 +251,25 @@ type kernelSource struct {
 }
 
 func newKernelSource(cfg Config) (*kernelSource, error) {
-	k := sim.NewKernel()
-	sys, err := coherence.New(k, coherence.DefaultConfig(cfg.Chips, cfg.FHz))
-	if err != nil {
-		return nil, err
-	}
-	threads := sys.Cfg.Cores()
-	clock := cpu.NewClock(cfg.FHz)
-	barrier := cpu.NewBarrierGroup(k, threads, sim.Time(120)*clock.Cycle())
-	src := &kernelSource{
-		cfg: cfg, k: k, sys: sys, clock: clock,
-		cores:    make([]*cpu.Core, threads),
-		interval: sim.Time(cfg.IntervalS * float64(sim.Second)),
-	}
-	for t := 0; t < threads; t++ {
-		var stream cpu.Stream
-		if cfg.DurationS > 0 {
+	src := &kernelSource{cfg: cfg, interval: sim.Time(cfg.IntervalS * float64(sim.Second))}
+	var stream func(t, threads int) cpu.Stream
+	if cfg.DurationS > 0 {
+		stream = func(t, threads int) cpu.Stream {
 			ls := &loopStream{mk: func(iter int) cpu.Stream {
 				return cfg.Benchmark.Stream(t, threads, cfg.Seed+int64(iter), cfg.Scale)
 			}}
 			ls.cur = ls.mk(0)
 			src.loops = append(src.loops, ls)
-			stream = ls
-		} else {
-			stream = cfg.Benchmark.Stream(t, threads, cfg.Seed, cfg.Scale)
+			return ls
 		}
-		src.cores[t] = cpu.NewCore(t, k, sys.L1s[t], clock, stream, barrier)
-		src.cores[t].Start()
 	}
-	src.prev = activitySnapshot(sys, src.cores)
+	m, err := fullsys.NewMachine(fullsys.Config{
+		Chips: cfg.Chips, FHz: cfg.FHz, Benchmark: cfg.Benchmark, Scale: cfg.Scale, Seed: cfg.Seed,
+	}, stream)
+	if err != nil {
+		return nil, err
+	}
+	src.m, src.prev = m, m.Activity()
 	return src, nil
 }
 
@@ -294,14 +277,14 @@ func newKernelSource(cfg Config) (*kernelSource, error) {
 // (its dynamic share from the interval's activity, leakage at the last
 // peak) over the floorplan's ambient-temperature unit powers.
 func (s *kernelSource) apply(ctx context.Context, fp *floorplan.Floorplan, _ int, step power.Step, lastPeakC float64) (float64, float64, error) {
-	s.clock.SetFrequency(step.FHz)
+	s.m.Clock.SetFrequency(step.FHz)
 	s.deadline += s.interval
-	if _, err := s.k.RunForCtx(ctx, s.deadline); err != nil {
+	if _, err := s.m.Kernel.RunForCtx(ctx, s.deadline); err != nil {
 		return 0, 0, fmt.Errorf("cosim: %w", err)
 	}
-	cur := activitySnapshot(s.sys, s.cores)
-	delta := diffActivity(cur, s.prev)
-	delta.Cycles = uint64(float64(s.interval) / float64(s.clock.Cycle()))
+	cur := s.m.Activity()
+	delta := cur.Sub(s.prev)
+	delta.Cycles = uint64(float64(s.interval) / float64(s.m.Clock.Cycle()))
 	s.prev = cur
 	s.ips = float64(delta.Instructions) / s.cfg.IntervalS
 
@@ -316,42 +299,4 @@ func (s *kernelSource) apply(ctx context.Context, fp *floorplan.Floorplan, _ int
 		fp.ScalePower(perChip / total)
 	}
 	return dyn, 1, nil
-}
-
-func allDone(cores []*cpu.Core) bool {
-	for _, c := range cores {
-		if !c.Done {
-			return false
-		}
-	}
-	return true
-}
-
-// activitySnapshot gathers cumulative counters.
-func activitySnapshot(sys *coherence.System, cores []*cpu.Core) mcpat.Activity {
-	var a mcpat.Activity
-	for _, c := range cores {
-		a.Instructions += c.Stats.Instructions
-	}
-	for _, l1 := range sys.L1s {
-		a.L1Accesses += l1.Stats.Loads + l1.Stats.Stores
-	}
-	for _, b := range sys.Banks {
-		a.L2Accesses += b.Stats.GetS + b.Stats.GetM + b.Stats.PutM
-	}
-	for _, mc := range sys.MCs {
-		a.DRAMAccesses += mc.Stats.Reads + mc.Stats.Writes
-	}
-	a.NoCFlitHops = sys.Mesh.Stats.FlitHops
-	return a
-}
-
-func diffActivity(cur, prev mcpat.Activity) mcpat.Activity {
-	return mcpat.Activity{
-		Instructions: cur.Instructions - prev.Instructions,
-		L1Accesses:   cur.L1Accesses - prev.L1Accesses,
-		L2Accesses:   cur.L2Accesses - prev.L2Accesses,
-		DRAMAccesses: cur.DRAMAccesses - prev.DRAMAccesses,
-		NoCFlitHops:  cur.NoCFlitHops - prev.NoCFlitHops,
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"waterimm/internal/fullsys"
 	"waterimm/internal/material"
 	"waterimm/internal/npb"
 	"waterimm/internal/power"
@@ -265,5 +266,41 @@ func TestRunCtxHonoursCancellation(t *testing.T) {
 		t.Fatal("expected error from cancelled context")
 	} else if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error does not wrap context.Canceled: %v", err)
+	}
+}
+
+// TestSinglePassMatchesFullsys pins the kernel source to fullsys's
+// machine: a single-pass co-simulation without a governor runs the same
+// workload as fullsys.Run, so it finishes at the same simulated time
+// and its per-interval instruction rates add back up to the run's
+// instruction count.
+func TestSinglePassMatchesFullsys(t *testing.T) {
+	for _, bench := range []string{"ep", "cg", "is"} {
+		t.Run(bench, func(t *testing.T) {
+			cfg := baseConfig(t, bench)
+			cfg.Scale, cfg.IntervalS = 0.05, 2e-6
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fullsys.Run(fullsys.Config{
+				Chips: cfg.Chips, FHz: cfg.FHz, Benchmark: cfg.Benchmark, Scale: cfg.Scale, Seed: cfg.Seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Seconds != want.Seconds {
+				t.Errorf("Seconds %v, fullsys.Run %v", res.Seconds, want.Seconds)
+			}
+			var instr float64
+			for _, s := range res.Samples {
+				instr += s.IPS * cfg.IntervalS
+			}
+			if math.Round(instr) != float64(want.Activity.Instructions) {
+				t.Errorf("Σ IPS·IntervalS = %v over %d intervals, fullsys.Run committed %d instructions",
+					instr, len(res.Samples), want.Activity.Instructions)
+			}
+			t.Logf("%d intervals, %d instructions", len(res.Samples), want.Activity.Instructions)
+		})
 	}
 }

@@ -2,9 +2,11 @@
 // gem5 role in the paper's tool chain: N stacked chips of 4 cores +
 // 12 L2 banks each (Table 1), the MOESI directory hierarchy and 3-D
 // mesh from packages coherence and noc, and cpu cores executing the
-// synthetic NPB streams of package npb. Run returns the simulated
-// execution time plus the architectural activity counters the McPAT
-// model consumes.
+// synthetic NPB streams of package npb. NewMachine builds and starts
+// the machine, and its Activity is the one mapping from the hardware
+// counters to the McPAT model's activity. Run drives a machine to
+// completion and returns the simulated execution time plus those
+// counters; package cosim drives the same machine interval by interval.
 package fullsys
 
 import (
@@ -87,14 +89,32 @@ type Result struct {
 	StallFraction float64
 }
 
-// Run executes the configuration to completion.
-func Run(cfg Config) (Result, error) {
+// Machine is a built and started simulated machine: the event kernel,
+// the coherence hierarchy and mesh, the core clock, the barrier group
+// and one core per thread. Run drives it to completion; the
+// co-simulator drives its kernel one coupling interval at a time.
+type Machine struct {
+	Kernel *sim.Kernel
+	// Clock is the core clock; the co-simulator's governor retunes it.
+	Clock *cpu.Clock
+
+	sys     *coherence.System
+	barrier *cpu.BarrierGroup
+	// memBarrier is nil unless Config.MemoryBarriers is set.
+	memBarrier *cpu.MemBarrier
+	cores      []*cpu.Core
+}
+
+// NewMachine builds cfg's machine and starts every core. stream, when
+// non-nil, supplies thread t's op stream (of threads); nil runs one
+// pass of cfg.Benchmark on every thread.
+func NewMachine(cfg Config, stream func(t, threads int) cpu.Stream) (*Machine, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Chips < 1 {
-		return Result{}, fmt.Errorf("fullsys: need at least one chip")
+		return nil, fmt.Errorf("fullsys: need at least one chip")
 	}
 	if err := cfg.Benchmark.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	k := sim.NewKernel()
 	ccfg := coherence.DefaultConfig(cfg.Chips, cfg.FHz)
@@ -102,73 +122,118 @@ func Run(cfg Config) (Result, error) {
 	ccfg.AffinityHome = cfg.AffinityHome
 	sys, err := coherence.New(k, ccfg)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	threads := sys.Cfg.Cores()
 	clock := cpu.NewClock(cfg.FHz)
-	barrier := cpu.NewBarrierGroup(k, threads, sim.Time(cfg.BarrierOverheadCycles)*clock.Cycle())
-	var memBarrier *cpu.MemBarrier
+	m := &Machine{
+		Kernel: k, Clock: clock, sys: sys,
+		barrier: cpu.NewBarrierGroup(k, threads, sim.Time(cfg.BarrierOverheadCycles)*clock.Cycle()),
+		cores:   make([]*cpu.Core, threads),
+	}
 	if cfg.MemoryBarriers {
-		memBarrier = cpu.NewMemBarrier(threads)
+		m.memBarrier = cpu.NewMemBarrier(threads)
 	}
-	cores := make([]*cpu.Core, threads)
+	if stream == nil {
+		stream = func(t, threads int) cpu.Stream { return cfg.Benchmark.Stream(t, threads, cfg.Seed, cfg.Scale) }
+	}
 	for t := 0; t < threads; t++ {
-		stream := cfg.Benchmark.Stream(t, threads, cfg.Seed, cfg.Scale)
-		cores[t] = cpu.NewCore(t, k, sys.L1s[t], clock, stream, barrier)
-		if memBarrier != nil {
-			cores[t].UseMemBarrier(memBarrier)
+		m.cores[t] = cpu.NewCore(t, k, sys.L1s[t], clock, stream(t, threads), m.barrier)
+		if m.memBarrier != nil {
+			m.cores[t].UseMemBarrier(m.memBarrier)
 		}
-		cores[t].Start()
+		m.cores[t].Start()
 	}
-	for k.Step() {
-		if k.Executed > cfg.MaxEvents {
+	return m, nil
+}
+
+// Done reports whether every core has finished its stream.
+func (m *Machine) Done() bool {
+	for _, c := range m.cores {
+		if !c.Done {
+			return false
+		}
+	}
+	return true
+}
+
+// Finish is the latest finish time of any core so far.
+func (m *Machine) Finish() sim.Time {
+	var finish sim.Time
+	for _, c := range m.cores {
+		finish = max(finish, c.Stats.FinishedAt)
+	}
+	return finish
+}
+
+// Activity returns the cumulative event counters McPAT consumes:
+// committed instructions, L1, L2-bank and DRAM accesses, and NoC
+// flit-hops. Cycles is left zero for the caller, which knows the span
+// the counters cover; an interval's activity is the difference of two
+// readings (mcpat.Activity.Sub).
+func (m *Machine) Activity() mcpat.Activity {
+	var a mcpat.Activity
+	for _, c := range m.cores {
+		a.Instructions += c.Stats.Instructions
+	}
+	for _, l1 := range m.sys.L1s {
+		a.L1Accesses += l1.Stats.Loads + l1.Stats.Stores
+	}
+	for _, b := range m.sys.Banks {
+		a.L2Accesses += b.Stats.GetS + b.Stats.GetM + b.Stats.PutM
+	}
+	for _, mc := range m.sys.MCs {
+		a.DRAMAccesses += mc.Stats.Reads + mc.Stats.Writes
+	}
+	a.NoCFlitHops = m.sys.Mesh.Stats.FlitHops
+	return a
+}
+
+// Run executes the configuration to completion.
+func Run(cfg Config) (Result, error) {
+	cfg = cfg.withDefaults()
+	m, err := NewMachine(cfg, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	for m.Kernel.Step() {
+		if m.Kernel.Executed > cfg.MaxEvents {
 			return Result{}, fmt.Errorf("fullsys: %s on %d chips exceeded %d events; likely livelock",
 				cfg.Benchmark.Name, cfg.Chips, cfg.MaxEvents)
 		}
 	}
-	res := Result{
-		Benchmark: cfg.Benchmark.Name,
-		Chips:     cfg.Chips,
-		Threads:   threads,
-		FHz:       cfg.FHz,
-		NoC:       sys.Mesh.Stats,
-		Barriers:  barrier.Episodes,
-	}
-	if memBarrier != nil {
-		res.BarrierSpins = memBarrier.Spins
-	}
-	var finish sim.Time
 	var stall, busy float64
-	for _, c := range cores {
+	for _, c := range m.cores {
 		if !c.Done {
 			return Result{}, fmt.Errorf("fullsys: core %d never finished (barrier deadlock?)", c.ID)
 		}
-		if c.Stats.FinishedAt > finish {
-			finish = c.Stats.FinishedAt
-		}
-		res.Activity.Instructions += c.Stats.Instructions
 		stall += float64(c.Stats.StallFS)
 		busy += float64(c.Stats.FinishedAt)
 	}
-	res.Seconds = finish.Seconds()
+	sys, finish := m.sys, m.Finish()
+	res := Result{
+		Benchmark: cfg.Benchmark.Name,
+		Chips:     cfg.Chips,
+		Threads:   len(m.cores),
+		FHz:       cfg.FHz,
+		Seconds:   finish.Seconds(),
+		Activity:  m.Activity(),
+		NoC:       sys.Mesh.Stats,
+		Barriers:  m.barrier.Episodes,
+	}
+	res.Activity.Cycles = uint64(float64(finish) / float64(m.Clock.Cycle()))
+	if m.memBarrier != nil {
+		res.BarrierSpins = m.memBarrier.Spins
+	}
 	if busy > 0 {
 		res.StallFraction = stall / busy
 	}
 	for _, l1 := range sys.L1s {
-		res.Activity.L1Accesses += l1.Stats.Loads + l1.Stats.Stores
 		res.L1Hits += l1.Stats.Hits
 		res.L1Misses += l1.Stats.Misses
 		res.Prefetches += l1.Stats.Prefetches
 		res.PrefetchHits += l1.Stats.PrefetchHits
 	}
-	for _, b := range sys.Banks {
-		res.Activity.L2Accesses += b.Stats.GetS + b.Stats.GetM + b.Stats.PutM
-	}
-	for _, mc := range sys.MCs {
-		res.Activity.DRAMAccesses += mc.Stats.Reads + mc.Stats.Writes
-	}
-	res.Activity.NoCFlitHops = sys.Mesh.Stats.FlitHops
-	res.Activity.Cycles = uint64(float64(finish) / float64(clock.Cycle()))
 	if err := sys.CheckInvariants(); err != nil {
 		return Result{}, fmt.Errorf("fullsys: post-run invariant violation: %w", err)
 	}

@@ -3,7 +3,9 @@ package fullsys
 import (
 	"testing"
 
+	"waterimm/internal/mcpat"
 	"waterimm/internal/npb"
+	"waterimm/internal/sim"
 )
 
 func TestSmokeAllBenchmarks(t *testing.T) {
@@ -184,5 +186,48 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Chips: 1, FHz: 2.0e9, Benchmark: ep, Scale: 0.05, MaxEvents: 10}); err == nil {
 		t.Error("tiny event budget must trip the livelock guard")
+	}
+}
+
+// TestMachineIntervalsSumToRun drives a Machine the way the
+// co-simulator does — a fixed slice of simulated time at a time — and
+// checks that the interval activities (Activity().Sub of consecutive
+// readings) add up to Run's counters, and the last finish to Run's
+// execution time.
+func TestMachineIntervalsSumToRun(t *testing.T) {
+	cg, _ := npb.ByName("cg")
+	cfg := Config{Chips: 2, FHz: 2.4e9, Benchmark: cg, Scale: 0.05, Seed: 1}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum mcpat.Activity
+	prev := m.Activity()
+	intervals := 0
+	for deadline := sim.Time(0); !m.Done(); intervals++ {
+		deadline += 2 * sim.Microsecond
+		m.Kernel.RunFor(deadline)
+		cur := m.Activity()
+		d := cur.Sub(prev)
+		sum.Instructions += d.Instructions
+		sum.L1Accesses += d.L1Accesses
+		sum.L2Accesses += d.L2Accesses
+		sum.DRAMAccesses += d.DRAMAccesses
+		sum.NoCFlitHops += d.NoCFlitHops
+		prev = cur
+	}
+	if intervals < 2 {
+		t.Fatalf("run finished in %d interval(s); the check needs several", intervals)
+	}
+	want.Activity.Cycles = 0
+	if sum != want.Activity {
+		t.Errorf("interval activities sum to %+v, Run counted %+v", sum, want.Activity)
+	}
+	if got := m.Finish().Seconds(); got != want.Seconds {
+		t.Errorf("machine finished at %v s, Run at %v s", got, want.Seconds)
 	}
 }

@@ -124,6 +124,19 @@ type Activity struct {
 	NoCFlitHops  uint64
 }
 
+// Sub returns the counts a accrued since the earlier reading prev of
+// the same cumulative counters: an interval's activity.
+func (a Activity) Sub(prev Activity) Activity {
+	return Activity{
+		Cycles:       a.Cycles - prev.Cycles,
+		Instructions: a.Instructions - prev.Instructions,
+		L1Accesses:   a.L1Accesses - prev.L1Accesses,
+		L2Accesses:   a.L2Accesses - prev.L2Accesses,
+		DRAMAccesses: a.DRAMAccesses - prev.DRAMAccesses,
+		NoCFlitHops:  a.NoCFlitHops - prev.NoCFlitHops,
+	}
+}
+
 // Energy per event in joules at VddMax for the 22 nm baseline chip.
 // These are whole-structure energies (fetch, decode, register file,
 // clock tree — not just the ALU), calibrated so a compute-saturated

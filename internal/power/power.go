@@ -159,6 +159,19 @@ var IRDS2033 = Model{
 // them.
 func Models() []Model { return []Model{LowPower, HighFrequency, XeonE5, XeonPhi} }
 
+// chipAliases maps the short chip spellings the CLIs and the service
+// accept onto canonical Model names.
+var chipAliases = map[string]string{"lp": "low-power", "hf": "high-frequency"}
+
+// CanonicalName resolves a chip alias (lp, hf) to its Model name and
+// returns any other name unchanged.
+func CanonicalName(name string) string {
+	if full, ok := chipAliases[name]; ok {
+		return full
+	}
+	return name
+}
+
 // ModelByName returns the chip model with the given name.
 func ModelByName(name string) (Model, error) {
 	for _, m := range append(Models(), IRDS2033) {

@@ -169,6 +169,29 @@ func TestModelByName(t *testing.T) {
 	}
 }
 
+// TestCanonicalName pins the one chip-alias table: lp and hf resolve,
+// every canonical name passes through, and anything else is left for
+// ModelByName to reject.
+func TestCanonicalName(t *testing.T) {
+	for in, want := range map[string]string{
+		"lp": "low-power", "hf": "high-frequency", "low-power": "low-power",
+		"high-frequency": "high-frequency", "e5": "e5", "phi": "phi", "irds2033": "irds2033",
+	} {
+		m, err := ModelByName(CanonicalName(in))
+		if err != nil || m.Name != want {
+			t.Errorf("ModelByName(CanonicalName(%q)) = %q, %v; want %q", in, m.Name, err, want)
+		}
+	}
+	for _, in := range []string{"", "LP", "Hf", "xeon", "low_power"} {
+		if got := CanonicalName(in); got != in {
+			t.Errorf("CanonicalName(%q) = %q, want it unchanged", in, got)
+		}
+		if _, err := ModelByName(CanonicalName(in)); err == nil {
+			t.Errorf("%q must stay rejected", in)
+		}
+	}
+}
+
 func TestDynamicStaticSplit(t *testing.T) {
 	// At fmax the split must equal the configured static fraction.
 	for _, m := range Models() {

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -40,7 +39,6 @@ type Backend struct {
 
 	mu        sync.Mutex
 	health    Health
-	lastErr   string
 	probeErrs int // consecutive active-probe failures
 }
 
@@ -60,21 +58,13 @@ func (b *Backend) Health() Health {
 // Available reports whether new work may be routed here.
 func (b *Backend) Available() bool { return b.Health() == Healthy }
 
-// LastErr returns the most recent failure detail ("" when healthy).
-func (b *Backend) LastErr() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastErr
-}
-
 // markDead passively ejects the backend after a transport-level
 // failure on live traffic. One connection error is enough: the
 // request already failed over, and the active prober restores the
 // backend within one interval of it coming back.
-func (b *Backend) markDead(err error) {
+func (b *Backend) markDead() {
 	b.mu.Lock()
 	b.health = Dead
-	b.lastErr = err.Error()
 	b.mu.Unlock()
 }
 
@@ -83,7 +73,6 @@ func (b *Backend) markDead(err error) {
 func (b *Backend) markDraining() {
 	b.mu.Lock()
 	b.health = Draining
-	b.lastErr = "backend announced drain"
 	b.mu.Unlock()
 }
 
@@ -99,12 +88,12 @@ func (b *Backend) probe(ctx context.Context, client *http.Client, failThreshold 
 	u.Path = "/healthz"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
 	if err != nil {
-		b.noteProbeFailure(fmt.Errorf("build probe: %w", err), failThreshold)
+		b.noteProbeFailure(failThreshold)
 		return
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		b.noteProbeFailure(err, failThreshold)
+		b.noteProbeFailure(failThreshold)
 		return
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
@@ -117,26 +106,22 @@ func (b *Backend) probe(ctx context.Context, client *http.Client, failThreshold 
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		b.health = Healthy
-		b.lastErr = ""
 		b.probeErrs = 0
 	case hz.Status == "draining":
 		b.health = Draining
-		b.lastErr = "healthz: draining"
 		b.probeErrs = 0
 	default:
 		b.probeErrs++
-		b.lastErr = fmt.Sprintf("healthz: status %d", resp.StatusCode)
 		if b.probeErrs >= failThreshold {
 			b.health = Dead
 		}
 	}
 }
 
-func (b *Backend) noteProbeFailure(err error, failThreshold int) {
+func (b *Backend) noteProbeFailure(failThreshold int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probeErrs++
-	b.lastErr = err.Error()
 	if b.probeErrs >= failThreshold {
 		b.health = Dead
 	}

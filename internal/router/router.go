@@ -372,7 +372,7 @@ func (rt *Router) resolveJob(w http.ResponseWriter, r *http.Request) (fleetID st
 // client is told to retry: the backend may be restarting, and its disk
 // cache keeps finished results and stream checkpoints.
 func (rt *Router) ownerUnreachable(w http.ResponseWriter, b *Backend, fleetID string, err error) {
-	b.markDead(err)
+	b.markDead()
 	rt.metrics.add(&rt.metrics.s.PassiveEjections)
 	httpapi.SetRetryAfter(w, time.Second)
 	httpapi.WriteError(w, http.StatusServiceUnavailable, httpapi.ErrCodeUnavailable,
@@ -485,7 +485,7 @@ func (rt *Router) forwardByKey(ctx context.Context, key, method, path string, bo
 			if ctx.Err() != nil {
 				return nil, nil, ctx.Err()
 			}
-			b.markDead(err)
+			b.markDead()
 			rt.metrics.add(&rt.metrics.s.PassiveEjections)
 			lastErr = err
 			continue
@@ -660,13 +660,4 @@ func errorCode(body []byte) string {
 		return ""
 	}
 	return e.Error.Code
-}
-
-// EdgeStats returns the edge store's counters (zero Stats when the
-// edge tier is disabled).
-func (rt *Router) EdgeStats() rcache.Stats {
-	if rt.edge == nil {
-		return rcache.Stats{}
-	}
-	return rt.edge.Stats()
 }

@@ -10,7 +10,10 @@ import (
 )
 
 // Params gathers every geometric and material constant of the stack
-// model. The zero value is unusable; start from DefaultParams.
+// model, plus the one structural choice that is not the coolant's:
+// InterDieChannels. Anything that builds stacks from Params (the
+// planner, its sessions, the co-simulator) therefore builds channel
+// stacks too. The zero value is unusable; start from DefaultParams.
 type Params struct {
 	// Die.
 	DieThickness float64 // m
@@ -59,9 +62,13 @@ type Params struct {
 	// cold plate that replaces the heatsink in the water-pipe option.
 	PipeCoeff float64
 
-	// ChannelCoeff is the film coefficient of the inter-die
-	// microchannel layers when Config.InterDieChannels is set
-	// (microchannel heat sinks reach 10⁴-10⁵ W/(m²·K)).
+	// InterDieChannels replaces the solid TSV bonds with microchannel
+	// layers through which the coolant flows (the related-work
+	// comparison of Section 5.1: microchannel cooling of 3-D ICs).
+	// Only meaningful for liquid coolants.
+	InterDieChannels bool
+	// ChannelCoeff is the film coefficient of those microchannel
+	// layers (microchannel heat sinks reach 10⁴-10⁵ W/(m²·K)).
 	ChannelCoeff float64
 
 	// SpreadingFactor scales the lumped lateral conductance between
@@ -164,11 +171,6 @@ type Config struct {
 	// Dies lists the powered floorplans from the bottom of the stack
 	// to the top. All dies must share the same outline.
 	Dies []*floorplan.Floorplan
-	// InterDieChannels replaces the solid TSV bonds with microchannel
-	// layers through which the coolant flows (the related-work
-	// comparison of Section 5.1: microchannel cooling of 3-D ICs).
-	// Only meaningful for liquid coolants.
-	InterDieChannels bool
 }
 
 // filmCoeff composes the coolant's convection coefficient with the
@@ -260,7 +262,7 @@ func Build(cfg Config) (*thermal.Model, error) {
 			if immersed {
 				bond.CHFLimit, bond.FilmBoilCollapse = poolCHF, filmCollapse
 			}
-			if cfg.InterDieChannels {
+			if p.InterDieChannels {
 				// The microchannel layer is thicker (fluid passages)
 				// and couples every cell to the coolant; the
 				// parylene question does not arise because channel

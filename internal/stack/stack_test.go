@@ -172,10 +172,9 @@ func TestInterDieChannelsBeatImmersionDeepStacks(t *testing.T) {
 	// immersion with identical power.
 	dies := poweredDies(8)
 	build := func(channels bool) float64 {
-		m, err := Build(Config{
-			Params: DefaultParams(), Coolant: material.Water,
-			Dies: dies, InterDieChannels: channels,
-		})
+		p := DefaultParams()
+		p.InterDieChannels = channels
+		m, err := Build(Config{Params: p, Coolant: material.Water, Dies: dies})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,10 +193,9 @@ func TestInterDieChannelsBeatImmersionDeepStacks(t *testing.T) {
 }
 
 func TestChannelLayersNamed(t *testing.T) {
-	m, err := Build(Config{
-		Params: DefaultParams(), Coolant: material.Water,
-		Dies: poweredDies(3), InterDieChannels: true,
-	})
+	p := DefaultParams()
+	p.InterDieChannels = true
+	m, err := Build(Config{Params: p, Coolant: material.Water, Dies: poweredDies(3)})
 	if err != nil {
 		t.Fatal(err)
 	}

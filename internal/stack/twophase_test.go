@@ -100,7 +100,9 @@ func TestBuildStampsCHF(t *testing.T) {
 	}
 
 	// Microchannel layers get the channel flow limit.
-	m, err = Build(Config{Params: p, Coolant: material.Water, Dies: poweredDies(2), InterDieChannels: true})
+	pc := p
+	pc.InterDieChannels = true
+	m, err = Build(Config{Params: pc, Coolant: material.Water, Dies: poweredDies(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -615,9 +615,21 @@ func newDenseChol(l *mgLevel) (*denseChol, error) {
 	a := make([]float64, n*n)
 	op := l.op
 	nx, nc := l.nx, l.nx*l.ny
+	grid := l.layers * nc
 	set := func(r, c int, v float64) { a[r*n+c], a[c*n+r] = v, v }
 	for r := 0; r < n; r++ {
 		a[r*n+r] = op.diag[r]
+		if op.xPtr != nil {
+			// The lumped extras' entries, stored for both rows they
+			// couple (only a fine level that is already coarsest has
+			// any).
+			for k := op.xPtr[r]; k < op.xPtr[r+1]; k++ {
+				a[r*n+int(op.xCol[k])] += op.xVal[k]
+			}
+		}
+		if r >= grid {
+			continue
+		}
 		if r%nx < nx-1 {
 			set(r, r+1, op.east[r])
 		}
