@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	cosim [-bench ep] [-chips 4] [-coolant water] [-ghz 3.6]
+//	cosim [-chip hf] [-bench ep] [-chips 4] [-coolant water] [-ghz 3.6]
 //	      [-interval 100e-6] [-duration 4e-3] [-dvfs 80] [-csv]
 package main
 
@@ -26,7 +26,7 @@ var (
 	flagBench    = flag.String("bench", "ep", "NPB kernel")
 	flagChips    = flag.Int("chips", 4, "stack depth")
 	flagCoolant  = flag.String("coolant", "water", "coolant name")
-	flagGHz      = flag.Float64("ghz", 3.6, "initial core frequency (must be a VFS step)")
+	flagGHz      = flag.Float64("ghz", 0, "initial core frequency, a VFS step of the chip (0 = its top step)")
 	flagChip     = flag.String("chip", "hf", "chip model: lp, hf")
 	flagInterval = flag.Float64("interval", 100e-6, "thermal coupling interval in seconds")
 	flagDuration = flag.Float64("duration", 4e-3, "looped run duration in seconds (0 = single pass)")
@@ -44,13 +44,18 @@ func main() {
 	fail(err)
 	chip, err := power.ModelByName(power.CanonicalName(*flagChip))
 	fail(err)
+	fHz := *flagGHz * 1e9
+	if fHz == 0 {
+		steps := chip.Steps()
+		fHz = steps[len(steps)-1].FHz
+	}
 
 	params := stack.DefaultParams()
 	params.GridNX, params.GridNY = *flagGrid, *flagGrid
 	cfg := cosim.Config{
 		Chip: chip, Chips: *flagChips, Coolant: coolant, Params: params,
 		Benchmark: bench, Scale: *flagScale, Seed: 1,
-		FHz: *flagGHz * 1e9, IntervalS: *flagInterval, DurationS: *flagDuration,
+		FHz: fHz, IntervalS: *flagInterval, DurationS: *flagDuration,
 	}
 	if *flagDVFS > 0 {
 		cfg.DVFS = &cosim.DVFSPolicy{SetpointC: *flagDVFS, HysteresisC: 1}
@@ -86,7 +91,8 @@ func main() {
 
 func fail(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cosim:", err)
+		// Every package's errors already name it ("cosim: ...").
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }

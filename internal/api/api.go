@@ -38,7 +38,14 @@ import (
 // co-simulation, its own key generation 5). No existing kind's
 // canonical encoding changed — every earlier per-kind generation and
 // every deployed cache entry stays valid; CacheGeneration holds at 2.
-const SchemaVersion = 5
+//
+// v6: the audit kind's key generation moves from 4 to 6. An audit
+// year's CHF hotspot is now evaluated on its plan cell's own planner,
+// with leakage at the audit's threshold_c, where generation 4 entries
+// carry hotspots evaluated at 80 °C whatever the threshold. No
+// request encoding changed and every other kind keeps its generation;
+// CacheGeneration holds at 2.
+const SchemaVersion = 6
 
 // CacheGeneration is the result-store envelope generation the
 // daemons pass to rcache.Open. It is deliberately decoupled from

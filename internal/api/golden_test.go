@@ -55,14 +55,14 @@ func TestCacheKeysFrozen(t *testing.T) {
 		{
 			"audit_default",
 			&AuditRequest{},
-			"50a3ddde6f5fb419a6812df8fe3c3f8cd861b662b12afb9c921d137068689ec4",
+			"20ff42c5ad6b91d3f85451472d5566364958a10371e18399462a5599cb05539a",
 		},
 		{
 			"audit_custom",
 			&AuditRequest{Chips: []string{"hf", "lp"}, Coolants: []string{"water", "air"},
 				StartYear: 2027, EndYear: 2030, GrowthPerYear: 1.25, ThresholdC: 85,
 				GridNX: 16, GridNY: 16, Flip: true},
-			"502cc97e67d9f119c3492afadef4c930c3c112d0a652031defd361b80e8f3149",
+			"8521b031827f246c7990bb6cf198d47289ebabf8504f6e7dcbbe5bfd79b15612",
 		},
 		{
 			"cosimstream_default",
@@ -100,8 +100,8 @@ func TestCacheGenerationFrozen(t *testing.T) {
 	if g := keyGeneration("montecarlo"); g != 3 {
 		t.Errorf("keyGeneration(montecarlo) = %d, want 3", g)
 	}
-	if g := keyGeneration("audit"); g != 4 {
-		t.Errorf("keyGeneration(audit) = %d, want 4", g)
+	if g := keyGeneration("audit"); g != 6 {
+		t.Errorf("keyGeneration(audit) = %d, want 6", g)
 	}
 	if g := keyGeneration("cosimstream"); g != 5 {
 		t.Errorf("keyGeneration(cosimstream) = %d, want 5", g)

@@ -42,7 +42,7 @@ var Kinds = []JobKind{
 		func() Request { return &SweepRequest{} }, func() any { return &SweepResponse{} }},
 	{"montecarlo", "montecarlo", "/v1/montecarlo", 3,
 		func() Request { return &MonteCarloRequest{} }, func() any { return &MonteCarloResponse{} }},
-	{"audit", "audit", "/v1/audit", 4,
+	{"audit", "audit", "/v1/audit", 6,
 		func() Request { return &AuditRequest{} }, func() any { return &AuditResponse{} }},
 	{"cosimstream", "cosimstream", "", 5,
 		func() Request { return &CosimStreamRequest{} }, func() any { return &CosimStreamResponse{} }},

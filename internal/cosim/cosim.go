@@ -199,12 +199,14 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	st.src = src
 
-	// Static-methodology reference point.
-	steadyRes, err := thermal.Solve(st.model, thermal.SolveOptions{Ctx: ctx})
+	// Static-methodology reference point: the steady field of the
+	// stream's own system, assembled at the initial operating point's
+	// power, which no interval has touched yet.
+	steady, err := st.sys.SolveSteady(thermal.SolveOptions{Ctx: ctx})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{SteadyPlannerPeakC: steadyRes.Max()}
+	res := &Result{SteadyPlannerPeakC: (&thermal.Result{Model: st.model, T: steady}).Max()}
 	for !st.Done() {
 		smp, err := st.Next(ctx)
 		if err != nil {

@@ -80,8 +80,8 @@ type Stats struct {
 
 // Open creates (if needed) and indexes the store at dir. maxBytes
 // bounds the total size of stored entries (0 = unbounded); schema is
-// the cache schema generation (api.SchemaVersion) — entries written
-// under any other generation are treated as corrupt. Leftover temp
+// the store envelope generation (the daemons pass api.CacheGeneration)
+// — entries written under any other generation are treated as corrupt. Leftover temp
 // files from a crashed write are removed, and an over-budget store is
 // compacted immediately.
 func Open(dir string, maxBytes int64, schema int) (*Store, error) {

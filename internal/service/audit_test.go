@@ -127,6 +127,46 @@ func TestAuditLifecycle(t *testing.T) {
 	}
 }
 
+// TestAuditMatchesItsCells: an audit year's CHF verdict is its own
+// plan cell's. At a threshold other than the planner default the
+// hotspot moves with it (leakage is evaluated at the threshold), so a
+// verdict computed on any other planner drifts from the cell's.
+func TestAuditMatchesItsCells(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	req := &api.AuditRequest{
+		Chips: []string{"lp"}, Coolants: []string{"fluorinert"},
+		StartYear: 2026, EndYear: 2027, GrowthPerYear: 1.16,
+		ThresholdC: 95, GridNX: 8, GridNY: 8,
+	}
+	in, err := e.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitDone(t, e, in.ID)
+	if got.State != StateDone {
+		t.Fatalf("state %s, error %q", got.State, got.Error)
+	}
+	years := got.Result.(*api.AuditResponse).Rows[0].Years
+	cells := req.Cells()
+	if len(years) != len(cells) {
+		t.Fatalf("%d audit years for %d cells", len(years), len(cells))
+	}
+	for i, cell := range cells {
+		in, err := e.Submit(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := waitDone(t, e, in.ID).Result.(*api.PlanResponse)
+		y := years[i]
+		if y.HotspotWCM2 != plan.HotspotWCM2 || y.CHFLimitWCM2 != plan.CHFLimitWCM2 || y.CHFExceeded != plan.CHFExceeded {
+			t.Errorf("year %d: audit hotspot %g, limit %g, exceeded %v; its cell %g, %g, %v",
+				y.Year, y.HotspotWCM2, y.CHFLimitWCM2, y.CHFExceeded,
+				plan.HotspotWCM2, plan.CHFLimitWCM2, plan.CHFExceeded)
+		}
+	}
+}
+
 // TestAuditRepeatCached: an identical audit — even spelled with
 // different aliases — is answered from the whole-job result cache
 // without re-running the orchestrator.

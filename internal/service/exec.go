@@ -29,15 +29,10 @@ func (e *Engine) execute(ctx context.Context, req api.Request) (any, error) {
 }
 
 func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResponse, error) {
-	chip, err := power.ModelByName(r.Chip)
+	p, chip, coolant, err := e.stackPlanner(r)
 	if err != nil {
 		return nil, err
 	}
-	coolant, err := material.ByName(r.Coolant)
-	if err != nil {
-		return nil, err
-	}
-	p := e.stackPlanner(r)
 	if r.Perturb != nil {
 		// Seed the geometry's shared nominal reference basis before
 		// the perturbed cell solves: a one-time cost per geometry that
@@ -51,9 +46,7 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 			return nil, err
 		}
 	}
-	p.ThresholdC = r.ThresholdC
-	p.ConvergeLeakage = r.ConvergeLeakage
-	applyPerturb(p, &coolant, r.Perturb)
+	applyRequest(p, &coolant, r)
 
 	// EvalGHz asks for an extra fixed-step solve inside the same
 	// session: the peak temperature at that step comes back even when
@@ -79,17 +72,15 @@ func (e *Engine) runPlan(ctx context.Context, r *api.PlanRequest) (*api.PlanResp
 		hotFHz = plan.Step.FHz
 	}
 	if hotFHz > 0 {
-		if limit, ok := stack.CHFLimitFor(p.Params, coolant); ok {
-			hotspot, err := p.PeakPowerDensity(chip, hotFHz)
-			if err != nil {
-				return nil, err
-			}
-			resp.HotspotWCM2 = hotspot / 1e4
-			resp.CHFLimitWCM2 = limit / 1e4
-			if hotspot > limit {
-				resp.CHFExceeded = true
-				e.metrics.add(&e.metrics.s.CHFHotspotExceedances, 1)
-			}
+		hotspot, limit, exceeded, err := hotspotCHF(p, chip, coolant, hotFHz)
+		if err != nil {
+			return nil, err
+		}
+		if limit > 0 {
+			resp.HotspotWCM2, resp.CHFLimitWCM2, resp.CHFExceeded = hotspot/1e4, limit/1e4, exceeded
+		}
+		if exceeded {
+			e.metrics.add(&e.metrics.s.CHFHotspotExceedances, 1)
 		}
 	}
 	if !plan.Feasible {
@@ -165,14 +156,23 @@ func (e *Engine) resolveTwoPhase(ctx context.Context, p *core.Planner, chip powe
 	return nil
 }
 
-// stackPlanner returns the nominal planner of a plan request's stack:
-// its flip layout and grid, the engine-wide CHF scale, structural
-// cache and solve observer — everything but the threshold, leakage
-// policy and perturbation. runPlan seeds a perturbed geometry's
-// nominal reference on it before setting those, so seed and solve
-// cannot drift apart; core's geomKey must cover every request field
-// set here.
-func (e *Engine) stackPlanner(r *api.PlanRequest) *core.Planner {
+// stackPlanner resolves a plan request's chip and coolant and returns
+// the nominal planner of its stack: its flip layout and grid, the
+// engine-wide CHF scale, structural cache and solve observer —
+// everything but the threshold, leakage policy and perturbation, which
+// applyRequest lands. runPlan seeds a perturbed geometry's nominal
+// reference in between, so seed and solve cannot drift apart, and the
+// reference never depends on which request's threshold seeded it;
+// core's geomKey must cover every request field set here.
+func (e *Engine) stackPlanner(r *api.PlanRequest) (*core.Planner, power.Model, material.Coolant, error) {
+	chip, err := power.ModelByName(r.Chip)
+	if err != nil {
+		return nil, power.Model{}, material.Coolant{}, err
+	}
+	coolant, err := material.ByName(r.Coolant)
+	if err != nil {
+		return nil, power.Model{}, material.Coolant{}, err
+	}
 	p := core.NewPlanner()
 	p.Flip = r.Flip
 	p.Params.GridNX, p.Params.GridNY = r.GridNX, r.GridNY
@@ -188,17 +188,22 @@ func (e *Engine) stackPlanner(r *api.PlanRequest) *core.Planner {
 	// kind to /v1/metrics (observeSolve is lock-protected, so the
 	// concurrent sessions of a sweep can share the observer).
 	p.OnSolve = e.metrics.observeSolve
-	return p
+	return p, chip, coolant, nil
 }
 
-// applyPerturb lands a Monte-Carlo sample cell's perturbation vector
-// on the planner and coolant: scale factors over material
-// conductivities, film coefficients and chip power, plus an absolute
-// inlet temperature. The geometry scales change the planner's stack
+// applyRequest lands the rest of a plan request on its nominal planner
+// and coolant: the junction threshold (which is also the leakage
+// temperature), the leakage policy, and a Monte-Carlo or audit cell's
+// perturbation vector — scale factors over material conductivities,
+// film coefficients and chip power, plus an absolute inlet
+// temperature. The geometry scales change the planner's stack
 // parameters (and coolant) but not the topology, so a perturbed cell
 // still reassembles through the geometry's cached skeleton; the power
 // scales ride the planner and stay exact under basis superposition.
-func applyPerturb(p *core.Planner, coolant *material.Coolant, pb *api.Perturb) {
+func applyRequest(p *core.Planner, coolant *material.Coolant, r *api.PlanRequest) {
+	p.ThresholdC = r.ThresholdC
+	p.ConvergeLeakage = r.ConvergeLeakage
+	pb := r.Perturb
 	if pb == nil {
 		return
 	}
@@ -220,31 +225,33 @@ func applyPerturb(p *core.Planner, coolant *material.Coolant, pb *api.Perturb) {
 	p.DynScale, p.StatScale = pb.PDyn, pb.PStat
 }
 
+// hotspotCHF is a plan cell's generation-side hotspot check at fHz:
+// the die's peak power density (W/m²) on the cell's own planner — its
+// grid, power scales and leakage at its threshold — the coolant's CHF
+// limit, 0 for a coolant that cannot boil, and whether the hotspot
+// crosses it. runPlan reports it on the plan and reduceAudit on the
+// cell's audit year.
+func hotspotCHF(p *core.Planner, chip power.Model, coolant material.Coolant, fHz float64) (hotspot, limit float64, exceeded bool, err error) {
+	limit, _ = stack.CHFLimitFor(p.Params, coolant)
+	hotspot, err = p.PeakPowerDensity(chip, fHz)
+	return hotspot, limit, err == nil && limit > 0 && hotspot > limit, err
+}
+
 func (e *Engine) runCosim(ctx context.Context, r *api.CosimRequest) (*api.CosimResponse, error) {
 	bench, err := npb.ByName(r.Benchmark)
 	if err != nil {
 		return nil, err
 	}
-	chip, err := power.ModelByName(r.Chip)
+	chip, coolant, params, dvfs, err := cosimSetup(r.Chip, r.Coolant, r.GridNX, r.GridNY, r.DVFSSetpointC, r.DVFSHysteresisC)
 	if err != nil {
 		return nil, err
 	}
-	coolant, err := material.ByName(r.Coolant)
-	if err != nil {
-		return nil, err
-	}
-	params := stack.DefaultParams()
-	params.GridNX, params.GridNY = r.GridNX, r.GridNY
-	cfg := cosim.Config{
+	res, err := cosim.RunCtx(ctx, cosim.Config{
 		Chip: chip, Chips: r.Chips, Coolant: coolant, Params: params,
 		Benchmark: bench, Scale: r.Scale, Seed: r.Seed,
 		FHz: r.GHz * 1e9, IntervalS: r.IntervalS, DurationS: r.DurationS,
-		OnSolve: e.metrics.observeSolve,
-	}
-	if r.DVFSSetpointC > 0 {
-		cfg.DVFS = &cosim.DVFSPolicy{SetpointC: r.DVFSSetpointC, HysteresisC: r.DVFSHysteresisC}
-	}
-	res, err := cosim.RunCtx(ctx, cfg)
+		DVFS: dvfs, OnSolve: e.metrics.observeSolve,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -265,6 +272,27 @@ func (e *Engine) runCosim(ctx context.Context, r *api.CosimRequest) (*api.CosimR
 		})
 	}
 	return resp, nil
+}
+
+// cosimSetup is the request translation a cosim and a cosimstream job
+// share: chip and coolant by name, the default stack parameters on the
+// request's grid, and the DVFS governor when a setpoint enables it.
+func cosimSetup(chipName, coolantName string, nx, ny int, setpointC, hysteresisC float64) (power.Model, material.Coolant, stack.Params, *cosim.DVFSPolicy, error) {
+	chip, err := power.ModelByName(chipName)
+	if err != nil {
+		return power.Model{}, material.Coolant{}, stack.Params{}, nil, err
+	}
+	coolant, err := material.ByName(coolantName)
+	if err != nil {
+		return power.Model{}, material.Coolant{}, stack.Params{}, nil, err
+	}
+	params := stack.DefaultParams()
+	params.GridNX, params.GridNY = nx, ny
+	var dvfs *cosim.DVFSPolicy
+	if setpointC > 0 {
+		dvfs = &cosim.DVFSPolicy{SetpointC: setpointC, HysteresisC: hysteresisC}
+	}
+	return chip, coolant, params, dvfs, nil
 }
 
 // decimate picks at most max evenly spaced indices out of [0, n),

@@ -257,6 +257,36 @@ func TestMonteCarloRepeatIsCacheHit(t *testing.T) {
 	}
 }
 
+// TestMonteCarloOutlivesFinishedRing: a montecarlo job may expand to
+// more cells (up to api.MaxMonteCarloCells) than the engine keeps
+// finished records (maxFinishedJobs). Here every draw quantizes to one
+// plan cell, so all but the first cells finish at submission as cache
+// hits or dedups, and the ring forgets the first cells' IDs before the
+// orchestrator waits on them; the job must still complete.
+func TestMonteCarloOutlivesFinishedRing(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	req := &api.MonteCarloRequest{
+		Chip: "lp", Chips: 1, Coolant: "water", GridNX: 8, GridNY: 8,
+		Samples: 2048, Seed: 7,
+		Params: map[string]mc.Dist{"ambient_c": {Kind: "uniform", Min: 25, Max: 25.0000001}},
+	}
+	if cells := req.TotalCells(); cells <= maxFinishedJobs {
+		t.Fatalf("%d cells do not overflow the %d-record ring", cells, maxFinishedJobs)
+	}
+	in, err := e.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitDone(t, e, in.ID)
+	if got.State != StateDone {
+		t.Fatalf("state %s, error %q", got.State, got.Error)
+	}
+	if p := got.Progress; p.DoneCells != p.TotalCells {
+		t.Fatalf("final progress: %+v", p)
+	}
+}
+
 // coldSolveCell solves one sample cell the naive way: a fresh cold
 // planner per cell — no session superposition, no structural cache, no
 // dedup. This is the baseline the orchestrated montecarlo path is
@@ -272,11 +302,9 @@ func coldSolveCell(ctx context.Context, r *api.PlanRequest) (float64, error) {
 	}
 	p := core.NewPlanner()
 	p.ColdStart = true
-	p.ThresholdC = r.ThresholdC
 	p.Flip = r.Flip
-	p.ConvergeLeakage = r.ConvergeLeakage
 	p.Params.GridNX, p.Params.GridNY = r.GridNX, r.GridNY
-	applyPerturb(p, &coolant, r.Perturb)
+	applyRequest(p, &coolant, r)
 	_, _, evalPeak, err := p.MaxFrequencyEvalCtx(ctx, chip, r.Chips, coolant, r.EvalGHz*1e9)
 	return evalPeak, err
 }

@@ -27,10 +27,6 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the LRU result cache. Default 512.
 	CacheEntries int
-	// MaxFinishedJobs bounds how many finished job records are kept
-	// for status/result lookups before the oldest are forgotten.
-	// Default 4096.
-	MaxFinishedJobs int
 	// AssemblyCacheEntries is ignored. It bounded a retired pool of
 	// assembled thermal systems; jobs now share assembly work through
 	// the structural cache (see DisableStructuralReuse). Kept so
@@ -82,11 +78,12 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 512
 	}
-	if c.MaxFinishedJobs <= 0 {
-		c.MaxFinishedJobs = 4096
-	}
 	return c
 }
+
+// maxFinishedJobs bounds how many finished job records are kept for
+// status/result lookups before the oldest are forgotten.
+const maxFinishedJobs = 4096
 
 // State is a job's lifecycle phase.
 type State string
@@ -318,45 +315,32 @@ func New(cfg Config) *Engine {
 // job's ID with Deduped set. Submit takes ownership of req; callers
 // must not mutate it afterwards.
 func (e *Engine) Submit(req api.Request) (JobInfo, error) {
-	return e.submit(req, false)
+	_, in, err := e.submit(req, false)
+	return in, err
 }
 
 // submit is Submit plus the internal flag: cell submissions from a
 // running fan-out orchestrator are continuations of an already-accepted
 // job, so they pass the closed check that rejects new outside work
 // while draining (Drain keeps the queue open until every orchestrator
-// has fanned out and finished).
-func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
+// has fanned out and finished). It also returns the job's record, which
+// runCells waits on directly: by the time a cell's turn comes, the
+// finished-job ring may have forgotten its ID.
+func (e *Engine) submit(req api.Request, internal bool) (*job, JobInfo, error) {
 	req.Normalize()
 	if err := req.Validate(); err != nil {
-		return JobInfo{}, err
+		return nil, JobInfo{}, err
 	}
 	key := req.CacheKey()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed && !internal {
-		return JobInfo{}, ErrClosed
+		return nil, JobInfo{}, ErrClosed
 	}
 	e.metrics.add(&e.metrics.s.JobsSubmitted, 1)
-
-	res, hit := e.cache.get(key)
-	// A fired cache-lookup failpoint degrades the hit into a miss:
-	// the engine recomputes rather than serve a suspect entry, so a
-	// flaky cache costs latency, never correctness.
-	if hit && faultinject.Hit(nil, faultinject.SiteCacheLookup) != nil {
-		hit = false
-	}
-	if hit {
-		e.metrics.add(&e.metrics.s.CacheHitsMem, 1)
-		return e.cachedDoneLocked(req, key, res), nil
-	}
-
-	if f, ok := e.inflight[key]; ok {
-		e.metrics.add(&e.metrics.s.DedupHits, 1)
-		in := f.info()
-		in.Deduped = true
-		return in, nil
+	if f, in, ok := e.fastPathLocked(req, key); ok {
+		return f, in, nil
 	}
 
 	// Disk tier: the probe does file IO, so the engine lock is
@@ -368,22 +352,16 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		res, ok := e.diskLookup(key)
 		e.mu.Lock()
 		if e.closed && !internal {
-			return JobInfo{}, ErrClosed
+			return nil, JobInfo{}, ErrClosed
 		}
-		if memRes, memHit := e.cache.get(key); memHit {
-			e.metrics.add(&e.metrics.s.CacheHitsMem, 1)
-			return e.cachedDoneLocked(req, key, memRes), nil
-		}
-		if f, okf := e.inflight[key]; okf {
-			e.metrics.add(&e.metrics.s.DedupHits, 1)
-			in := f.info()
-			in.Deduped = true
-			return in, nil
+		if f, in, hit := e.fastPathLocked(req, key); hit {
+			return f, in, nil
 		}
 		if ok {
 			e.metrics.add(&e.metrics.s.CacheHitsDisk, 1)
 			e.cache.add(key, res)
-			return e.cachedDoneLocked(req, key, res), nil
+			j := e.cachedDoneLocked(req, key, res)
+			return j, j.info(), nil
 		}
 	}
 	e.metrics.add(&e.metrics.s.CacheMisses, 1)
@@ -395,7 +373,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 	// already admitted, and starving it would livelock the batch path.
 	if !internal && e.cfg.MaxQueueWait > 0 && e.estimatedWaitLocked() > e.cfg.MaxQueueWait {
 		e.metrics.add(&e.metrics.s.OverloadRejects, 1)
-		return JobInfo{}, &OverloadError{Err: ErrOverloaded, RetryAfter: e.retryAfterLocked()}
+		return nil, JobInfo{}, &OverloadError{Err: ErrOverloaded, RetryAfter: e.retryAfterLocked()}
 	}
 
 	j := e.newJobLocked(req, key)
@@ -442,11 +420,12 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		j.progress = &api.SweepProgress{TotalCells: r.TotalCells()}
 		e.metrics.add(&e.metrics.s.AuditJobs, 1)
 		body = func() (any, error) {
-			res, err := e.runCells(j, r.Cells())
+			cells := r.Cells()
+			res, err := e.runCells(j, cells)
 			if err != nil {
 				return nil, err
 			}
-			return e.reduceAudit(r, res)
+			return e.reduceAudit(r, cells, res)
 		}
 	case *api.CosimStreamRequest:
 		j.progress = &api.SweepProgress{TotalCells: r.Intervals}
@@ -458,7 +437,7 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		e.inflight[key] = j
 		e.orchestrators.Add(1)
 		go e.orchestrate(j, body)
-		return j.info(), nil
+		return j, j.info(), nil
 	}
 
 	select {
@@ -467,13 +446,33 @@ func (e *Engine) submit(req api.Request, internal bool) (JobInfo, error) {
 		j.cancel()
 		delete(e.jobs, j.id)
 		e.metrics.add(&e.metrics.s.QueueFullRejects, 1)
-		return JobInfo{}, &OverloadError{
+		return nil, JobInfo{}, &OverloadError{
 			Err:        fmt.Errorf("%w (depth %d)", ErrQueueFull, e.cfg.QueueDepth),
 			RetryAfter: e.retryAfterLocked(),
 		}
 	}
 	e.inflight[key] = j
-	return j.info(), nil
+	return j, j.info(), nil
+}
+
+// fastPathLocked answers a submission without queueing anything: from
+// the memory cache, or by attaching to an identical queued or running
+// job (Deduped). A fired cache-lookup failpoint degrades a memory hit
+// into a miss: the engine recomputes rather than serve a suspect entry,
+// so a flaky cache costs latency, never correctness.
+func (e *Engine) fastPathLocked(req api.Request, key string) (*job, JobInfo, bool) {
+	if res, hit := e.cache.get(key); hit && faultinject.Hit(nil, faultinject.SiteCacheLookup) == nil {
+		e.metrics.add(&e.metrics.s.CacheHitsMem, 1)
+		j := e.cachedDoneLocked(req, key, res)
+		return j, j.info(), true
+	}
+	if f, ok := e.inflight[key]; ok {
+		e.metrics.add(&e.metrics.s.DedupHits, 1)
+		in := f.info()
+		in.Deduped = true
+		return f, in, true
+	}
+	return nil, JobInfo{}, false
 }
 
 // estimatedWaitLocked predicts how long a job enqueued now would sit
@@ -515,7 +514,7 @@ func (e *Engine) RetryAfterHint() time.Duration {
 // cachedDoneLocked mints an already-terminal job record around a
 // result served from either cache tier, so the submitter gets a
 // normal job snapshot without anything ever queueing.
-func (e *Engine) cachedDoneLocked(req api.Request, key string, res any) JobInfo {
+func (e *Engine) cachedDoneLocked(req api.Request, key string, res any) *job {
 	j := e.newJobLocked(req, key)
 	j.state = StateDone
 	j.cacheHit = true
@@ -523,7 +522,7 @@ func (e *Engine) cachedDoneLocked(req api.Request, key string, res any) JobInfo 
 	j.finished = j.submitted
 	close(j.done)
 	e.rememberFinishedLocked(j)
-	return j.info()
+	return j
 }
 
 func (e *Engine) newJobLocked(req api.Request, key string) *job {
@@ -545,7 +544,7 @@ func (e *Engine) newJobLocked(req api.Request, key string) *job {
 // server does not accumulate job records without bound.
 func (e *Engine) rememberFinishedLocked(j *job) {
 	e.finished = append(e.finished, j.id)
-	for len(e.finished) > e.cfg.MaxFinishedJobs {
+	for len(e.finished) > maxFinishedJobs {
 		delete(e.jobs, e.finished[0])
 		e.finished = e.finished[1:]
 	}
@@ -614,13 +613,13 @@ func (e *Engine) start(j *job) bool {
 	if err := j.ctx.Err(); err != nil {
 		e.failLocked(j, fmt.Errorf("service: job expired while queued (waited %v): %w",
 			wait.Round(time.Millisecond), err))
-		e.finishQueuedLocked(j)
+		e.finishLocked(j)
 		return false
 	}
 	if e.cfg.MaxQueueWait > 0 && wait > e.cfg.MaxQueueWait {
 		e.failLocked(j, fmt.Errorf("%w (queued %v, budget %v)",
 			ErrShed, wait.Round(time.Millisecond), e.cfg.MaxQueueWait))
-		e.finishQueuedLocked(j)
+		e.finishLocked(j)
 		return false
 	}
 	j.state = StateRunning
@@ -630,8 +629,11 @@ func (e *Engine) start(j *job) bool {
 	return true
 }
 
-// finishQueuedLocked finalizes a job that never ran.
-func (e *Engine) finishQueuedLocked(j *job) {
+// finishLocked is every queued or running job's last step, once its
+// terminal state is set: stamp the finish time, release its key for
+// dedup, remember it in the finished ring, cancel its context and wake
+// its waiters.
+func (e *Engine) finishLocked(j *job) {
 	j.finished = time.Now()
 	delete(e.inflight, j.key)
 	e.rememberFinishedLocked(j)
@@ -647,8 +649,7 @@ func (e *Engine) finishQueuedLocked(j *job) {
 func (e *Engine) finalize(j *job, result any, err error) {
 	e.mu.Lock()
 	e.running--
-	j.finished = time.Now()
-	e.metrics.observeRun(j.kind, j.finished.Sub(j.started))
+	e.metrics.observeRun(j.kind, time.Since(j.started))
 	if err == nil {
 		j.state = StateDone
 		j.result = result
@@ -657,10 +658,7 @@ func (e *Engine) finalize(j *job, result any, err error) {
 	} else {
 		e.failLocked(j, err)
 	}
-	delete(e.inflight, j.key)
-	e.rememberFinishedLocked(j)
-	j.cancel()
-	close(j.done)
+	e.finishLocked(j)
 	e.mu.Unlock()
 
 	if err == nil && e.disk != nil {
@@ -724,19 +722,20 @@ type cellResult struct {
 // jobs) and their results stay cached for a retry.
 func (e *Engine) runCells(j *job, cells []*api.PlanRequest) ([]cellResult, error) {
 	n := len(cells)
-	submitted := make([]JobInfo, n)
+	records := make([]*job, n)
+	deduped := make([]bool, n)
 	for i, cell := range cells {
-		in, err := e.submitCell(j.ctx, cell)
+		rec, in, err := e.submitCell(j.ctx, cell)
 		if err != nil {
 			return nil, fmt.Errorf("service: %s cell %d/%d: %w", j.kind, i+1, n, err)
 		}
-		submitted[i] = in
+		records[i], deduped[i] = rec, in.Deduped
 	}
 	out := make([]cellResult, n)
-	for i, sub := range submitted {
+	for i, rec := range records {
 		// Cache hits from submit are already terminal; everything else
-		// needs a wait. Either way Wait fetches the result payload.
-		in, err := e.Wait(j.ctx, sub.ID)
+		// needs a wait. Either way waitJob fetches the result payload.
+		in, err := e.waitJob(j.ctx, rec)
 		if err != nil {
 			return nil, fmt.Errorf("service: %s cell %d/%d: %w", j.kind, i+1, n, err)
 		}
@@ -747,7 +746,7 @@ func (e *Engine) runCells(j *job, cells []*api.PlanRequest) ([]cellResult, error
 		if !ok {
 			return nil, fmt.Errorf("service: %s cell %d/%d returned %T", j.kind, i+1, n, in.Result)
 		}
-		out[i] = cellResult{Key: in.Key, Plan: plan, CacheHit: in.CacheHit, Deduped: sub.Deduped}
+		out[i] = cellResult{Key: in.Key, Plan: plan, CacheHit: in.CacheHit, Deduped: deduped[i]}
 		e.mu.Lock()
 		j.progress.DoneCells++
 		if in.CacheHit {
@@ -847,28 +846,41 @@ func countInfeasible(freq []float64) int {
 // submitCell submits one fan-out cell, waiting out transient queue-full
 // rejections: the pool is busy solving earlier cells, so backing off
 // briefly and retrying is the batched path's flow control.
-func (e *Engine) submitCell(ctx context.Context, cell *api.PlanRequest) (JobInfo, error) {
+func (e *Engine) submitCell(ctx context.Context, cell *api.PlanRequest) (*job, JobInfo, error) {
 	for {
-		in, err := e.submit(cell, true)
+		rec, in, err := e.submit(cell, true)
 		if err == nil || !errors.Is(err, ErrQueueFull) {
-			return in, err
+			return rec, in, err
 		}
 		select {
 		case <-ctx.Done():
-			return JobInfo{}, ctx.Err()
+			return nil, JobInfo{}, ctx.Err()
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
 }
 
-// Status returns a job snapshot without its result payload.
-func (e *Engine) Status(id string) (JobInfo, error) {
+// lockJob takes the engine lock and returns job id's record, still
+// holding the lock; the caller unlocks. An ID the engine never issued,
+// or whose record the finished-job ring forgot, answers ErrUnknownJob
+// with the lock released.
+func (e *Engine) lockJob(id string) (*job, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	j, ok := e.jobs[id]
 	if !ok {
-		return JobInfo{}, ErrUnknownJob
+		e.mu.Unlock()
+		return nil, ErrUnknownJob
 	}
+	return j, nil
+}
+
+// Status returns a job snapshot without its result payload.
+func (e *Engine) Status(id string) (JobInfo, error) {
+	j, err := e.lockJob(id)
+	if err != nil {
+		return JobInfo{}, err
+	}
+	defer e.mu.Unlock()
 	return j.info(), nil
 }
 
@@ -877,12 +889,11 @@ func (e *Engine) Status(id string) (JobInfo, error) {
 // or canceled job returns its snapshot and no error (the snapshot's
 // State and Error fields carry the outcome).
 func (e *Engine) Result(id string) (JobInfo, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.jobs[id]
-	if !ok {
-		return JobInfo{}, ErrUnknownJob
+	j, err := e.lockJob(id)
+	if err != nil {
+		return JobInfo{}, err
 	}
+	defer e.mu.Unlock()
 	if !j.state.Terminal() {
 		return j.info(), ErrNotDone
 	}
@@ -896,23 +907,16 @@ func (e *Engine) Result(id string) (JobInfo, error) {
 // abandons it at its next poll point. Cancelling a terminal job is a
 // no-op. The returned snapshot reflects the state after the call.
 func (e *Engine) Cancel(id string) (JobInfo, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	j, ok := e.jobs[id]
-	if !ok {
-		return JobInfo{}, ErrUnknownJob
+	j, err := e.lockJob(id)
+	if err != nil {
+		return JobInfo{}, err
 	}
+	defer e.mu.Unlock()
 	switch j.state {
 	case StateQueued:
-		j.state = StateCanceled
-		j.err = context.Canceled
-		j.errCode = CodeCanceled
-		j.finished = time.Now()
-		j.cancel()
-		delete(e.inflight, j.key)
-		e.rememberFinishedLocked(j)
+		j.state, j.err, j.errCode = StateCanceled, context.Canceled, CodeCanceled
 		e.metrics.add(&e.metrics.s.JobsCanceled, 1)
-		close(j.done)
+		e.finishLocked(j)
 	case StateRunning:
 		j.cancel()
 	}
@@ -922,18 +926,27 @@ func (e *Engine) Cancel(id string) (JobInfo, error) {
 // Wait blocks until the job reaches a terminal state or ctx fires,
 // then returns the snapshot with the result payload when done.
 func (e *Engine) Wait(ctx context.Context, id string) (JobInfo, error) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return JobInfo{}, ErrUnknownJob
+	j, err := e.lockJob(id)
+	if err != nil {
+		return JobInfo{}, err
 	}
+	e.mu.Unlock()
+	return e.waitJob(ctx, j)
+}
+
+// waitJob is Wait on a job's record: it keeps answering after the
+// finished-job ring has forgotten the ID.
+func (e *Engine) waitJob(ctx context.Context, j *job) (JobInfo, error) {
 	select {
 	case <-j.done:
-		return e.Result(id)
 	case <-ctx.Done():
 		return JobInfo{}, ctx.Err()
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	in := j.info()
+	in.Result = j.result
+	return in, nil
 }
 
 // Metrics returns a consistent snapshot of counters, gauges and

@@ -180,11 +180,56 @@ func TestCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.State != StateCanceled {
-		t.Fatalf("queued job state after cancel: %s", got.State)
+	if got.State != StateCanceled || got.ErrorCode != CodeCanceled {
+		t.Fatalf("queued job after cancel: state %s, code %q", got.State, got.ErrorCode)
+	}
+	if m := e.Metrics(); m.JobsCanceled != 1 {
+		t.Fatalf("canceled counter %d after cancelling the queued job", m.JobsCanceled)
+	}
+	// The canceled job is finished: waiters return, and it no longer
+	// absorbs an identical submission.
+	waitDone(t, e, queued.ID)
+	again, err := e.Submit(fastPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Deduped || again.ID == queued.ID {
+		t.Fatalf("resubmission attached to the canceled job: %+v", again)
 	}
 	if _, err := e.Cancel(blocker.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinishedJobRing: the engine forgets the oldest finished job
+// records beyond maxFinishedJobs, so a long-lived server's job table
+// stays bounded. Cache hits finish at submission, so the ring fills
+// without a single solve.
+func TestFinishedJobRing(t *testing.T) {
+	e := New(Config{})
+	defer e.Close()
+	first, err := e.Submit(fastPlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, e, first.ID)
+	var last JobInfo
+	for i := 0; i <= maxFinishedJobs; i++ {
+		if last, err = e.Submit(fastPlan()); err != nil || !last.CacheHit {
+			t.Fatalf("submission %d: cache hit %v, err %v", i, last.CacheHit, err)
+		}
+	}
+	if _, err := e.Status(first.ID); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("first job after %d newer finished jobs: %v, want ErrUnknownJob", maxFinishedJobs+1, err)
+	}
+	if _, err := e.Result(last.ID); err != nil {
+		t.Errorf("newest job: %v", err)
+	}
+	e.mu.Lock()
+	jobs, ring := len(e.jobs), len(e.finished)
+	e.mu.Unlock()
+	if jobs > maxFinishedJobs || ring > maxFinishedJobs {
+		t.Errorf("engine holds %d job records, %d in the ring; cap %d", jobs, ring, maxFinishedJobs)
 	}
 }
 

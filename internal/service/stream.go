@@ -11,9 +11,6 @@ import (
 
 	"waterimm/internal/api"
 	"waterimm/internal/cosim"
-	"waterimm/internal/material"
-	"waterimm/internal/power"
-	"waterimm/internal/stack"
 )
 
 // ErrStreamDrained fails a cosimstream job whose engine began
@@ -61,27 +58,18 @@ func newStreamState() *streamState {
 // buildStream constructs the interval engine for a validated,
 // normalized request.
 func (e *Engine) buildStream(req *api.CosimStreamRequest) (*cosim.Stream, error) {
-	chip, err := power.ModelByName(req.Chip)
+	chip, coolant, params, dvfs, err := cosimSetup(req.Chip, req.Coolant, req.GridNX, req.GridNY, req.DTMSetpointC, req.DTMHysteresisC)
 	if err != nil {
 		return nil, err
 	}
-	coolant, err := material.ByName(req.Coolant)
-	if err != nil {
-		return nil, err
-	}
-	params := stack.DefaultParams()
-	params.GridNX, params.GridNY = req.GridNX, req.GridNY
 	cfg := cosim.StreamConfig{
 		Chip: chip, Chips: req.Chips, Coolant: coolant, Params: params,
 		FHz: req.GHz * 1e9, IntervalS: req.IntervalS,
 		Intervals: req.Intervals, SubSteps: req.SubSteps,
-		OnSolve: e.metrics.observeSolve,
+		DVFS: dvfs, OnSolve: e.metrics.observeSolve,
 	}
 	for _, p := range req.Trace {
 		cfg.Phases = append(cfg.Phases, cosim.StreamPhase{DurationS: p.DurationS, Utilisation: p.Utilisation})
-	}
-	if req.DTMSetpointC > 0 {
-		cfg.DVFS = &cosim.DVFSPolicy{SetpointC: req.DTMSetpointC, HysteresisC: req.DTMHysteresisC}
 	}
 	return cosim.NewStream(cfg)
 }
@@ -235,12 +223,11 @@ func (e *Engine) publishSamples(j *job, samples []cosim.StreamSample) {
 // intervals the caller already has" — the SSE layer maps Last-Event-ID
 // and ?from= onto it directly.
 func (e *Engine) StreamNext(ctx context.Context, id string, afterSeq int) ([]api.CosimStreamInterval, bool, error) {
-	e.mu.Lock()
-	j, ok := e.jobs[id]
-	e.mu.Unlock()
-	if !ok {
-		return nil, false, ErrUnknownJob
+	j, err := e.lockJob(id)
+	if err != nil {
+		return nil, false, err
 	}
+	e.mu.Unlock()
 	if j.stream == nil {
 		return nil, false, ErrNotStreaming
 	}
