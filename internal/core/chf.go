@@ -86,6 +86,9 @@ func (p *Planner) TwoPhasePeak(ctx context.Context, chip power.Model, chips int,
 		return nil, err
 	}
 	res, stats, err := thermal.SolveTwoPhase(model, thermal.SolveOptions{Ctx: ctx})
+	for _, pass := range stats.Passes {
+		p.report(pass)
+	}
 	if err != nil {
 		return nil, err
 	}

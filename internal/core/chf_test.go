@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"waterimm/internal/material"
 	"waterimm/internal/power"
 	"waterimm/internal/stack"
+	"waterimm/internal/thermal"
 )
 
 // TestPeakPowerDensityHotspot pins the generation-side hotspot check:
@@ -125,6 +127,42 @@ func TestTwoPhasePeakDegradesPastCHF(t *testing.T) {
 	if out.PeakC <= baseline.PeakC {
 		t.Errorf("film-boiling peak %.2f °C not above single-phase %.2f °C",
 			out.PeakC, baseline.PeakC)
+	}
+}
+
+// TestTwoPhasePeakReportsEverySolve: each film-boiling pass of a
+// two-phase re-solve is a planner solve, so OnSolve must see one
+// report per pass, with the pass's own stats — the same passes an
+// independent thermal.SolveTwoPhase of the same model runs.
+func TestTwoPhasePeakReportsEverySolve(t *testing.T) {
+	p := NewPlanner()
+	p.Params.GridNX, p.Params.GridNY = 16, 16
+	p.Params.CHFScale = 1e-4
+	chip := power.LowPower
+	top := chip.Steps()[len(chip.Steps())-1]
+	var got []thermal.SolveStats
+	p.OnSolve = func(st thermal.SolveStats) { got = append(got, st) }
+
+	out, err := p.TwoPhasePeak(context.Background(), chip, 1, material.Fluorinert, top.FHz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.FilmBoilingCells == 0 {
+		t.Fatal("no film boiling despite CHF far below operating flux")
+	}
+	m, err := p.modelAt(chip, 1, material.Fluorinert, top, p.leakTemp(chip))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := thermal.SolveTwoPhase(m, thermal.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Passes) < 2 {
+		t.Fatalf("independent two-phase solve ran %d passes, want a re-solve", len(want.Passes))
+	}
+	if !reflect.DeepEqual(got, want.Passes) {
+		t.Errorf("OnSolve saw %v, want one report per pass %v", got, want.Passes)
 	}
 }
 

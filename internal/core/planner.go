@@ -43,9 +43,10 @@ type Planner struct {
 	// PrecondMG. The choice changes iteration counts, never results,
 	// so it deliberately stays out of every cache key.
 	Precond string
-	// OnSolve, when non-nil, observes every steady solve (iteration
-	// count, preconditioner kind). The service wires this into
-	// /v1/metrics; it must be safe for concurrent calls.
+	// OnSolve, when non-nil, observes every steady solve the planner
+	// runs, two-phase re-solve passes included (iteration count,
+	// preconditioner kind). The service wires this into /v1/metrics;
+	// it must be safe for concurrent calls.
 	OnSolve func(thermal.SolveStats)
 	// DynScale and StatScale scale the chip's dynamic and static
 	// power everywhere the planner assigns it (0 means nominal, i.e.
@@ -87,6 +88,15 @@ func (p *Planner) powerAt(chip power.Model, step power.Step, leakC float64) (dyn
 		statW *= p.StatScale
 	}
 	return dynW, statW
+}
+
+// report hands one solve's stats to the OnSolve observer, when set.
+// Every planner solve reaches it: session solves (runSteady), the
+// cold baseline and each two-phase pass.
+func (p *Planner) report(st thermal.SolveStats) {
+	if p.OnSolve != nil {
+		p.OnSolve(st)
+	}
 }
 
 // NewPlanner returns a Planner with Table 2 parameters and the
@@ -174,15 +184,17 @@ func (p *Planner) MaxFrequency(chip power.Model, chips int, coolant material.Coo
 // checked before every thermal solve of the binary search and inside
 // the solver's iteration loop — that also returns, for feasible plans,
 // the full thermal field at the chosen step (nil for infeasible
-// plans), and, when evalFHz is non-zero, the peak temperature of one
-// extra warm solve at that fixed VFS step. The whole search runs in
-// one Session, so the field is one warm re-solve away. Unlike the
-// search outcome, the eval peak is produced even when the plan is
-// infeasible — the montecarlo exceedance estimate needs a temperature
-// for every sample, especially the ones whose stack cannot hold the
-// threshold. The eval solve shares the search's session and
-// superposition basis, so it costs a few verification CG iterations,
-// not an assembly.
+// plans), and, when evalFHz is non-zero, the peak temperature at that
+// fixed VFS step. Unlike the search outcome, the eval peak is produced
+// even when the plan is infeasible — the montecarlo exceedance
+// estimate needs a temperature for every sample, especially the ones
+// whose stack cannot hold the threshold.
+//
+// The whole search runs in one primed Session, and every step solve
+// there is history-free: its guess comes from the superposition basis,
+// its power from the step, and the solver starts afresh. So one
+// per-frequency memo serves the binary search, the eval step and the
+// returned field, and no step is solved twice.
 func (p *Planner) MaxFrequencyEvalCtx(ctx context.Context, chip power.Model, chips int, coolant material.Coolant, evalFHz float64) (Plan, *thermal.Result, float64, error) {
 	steps := chip.Steps()
 	if len(steps) == 0 {
@@ -200,74 +212,53 @@ func (p *Planner) MaxFrequencyEvalCtx(ctx context.Context, chip power.Model, chi
 		return Plan{}, nil, 0, err
 	}
 
-	// evalPeak runs the fixed-step evaluation inside the same session.
-	evalPeak := func() (float64, error) {
-		if evalFHz == 0 {
-			return 0, nil
+	fields := make(map[float64]*thermal.Result)
+	solve := func(fHz float64) (*thermal.Result, error) {
+		if res, ok := fields[fHz]; ok {
+			return res, nil
 		}
-		return s.Peak(ctx, evalFHz)
-	}
-
-	peakAt := func(i int) (float64, error) {
 		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("core: frequency search cancelled: %w", err)
+			return nil, fmt.Errorf("core: frequency search cancelled: %w", err)
 		}
-		return s.Peak(ctx, steps[i].FHz)
+		res, _, err := s.Solve(ctx, fHz)
+		if err != nil {
+			return nil, err
+		}
+		fields[fHz] = res
+		return res, nil
 	}
-
-	// Infeasible if the slowest step already violates the threshold.
-	peak, err := peakAt(0)
-	if err != nil {
-		return Plan{}, nil, 0, err
-	}
-	if peak > p.ThresholdC {
-		ev, err := evalPeak()
+	// lo is the fastest admissible step found (-1: none yet), hi the
+	// slowest inadmissible one (len(steps): none yet). The slowest step
+	// goes first (failing it makes the plan infeasible), then, if it
+	// holds, the fastest, before the bisection.
+	lo, hi := -1, len(steps)
+	for next := 0; hi-lo > 1; next = (lo + hi) / 2 {
+		if lo == 0 && hi == len(steps) {
+			next = hi - 1
+		}
+		res, err := solve(steps[next].FHz)
 		if err != nil {
 			return Plan{}, nil, 0, err
 		}
+		if res.Max() <= p.ThresholdC {
+			lo = next
+		} else {
+			hi = next
+		}
+	}
+	var ev float64
+	if evalFHz != 0 {
+		res, err := solve(evalFHz)
+		if err != nil {
+			return Plan{}, nil, 0, err
+		}
+		ev = res.Max()
+	}
+	if lo < 0 {
 		return plan, nil, ev, nil
 	}
-	// lo is always admissible, hi (when in range) is not.
-	lo, hi := 0, len(steps)
-	loPeak := peak
-	if hi > 1 {
-		if peak, err = peakAt(len(steps) - 1); err != nil {
-			return Plan{}, nil, 0, err
-		}
-		if peak <= p.ThresholdC {
-			lo, loPeak = len(steps)-1, peak
-		} else {
-			hi = len(steps) - 1
-		}
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		peak, err := peakAt(mid)
-		if err != nil {
-			return Plan{}, nil, 0, err
-		}
-		if peak <= p.ThresholdC {
-			lo, loPeak = mid, peak
-		} else {
-			hi = mid
-		}
-	}
-	plan.Feasible = true
-	plan.Step = steps[lo]
-	plan.PeakC = loPeak
-	// The eval solve runs before the final field solve so the
-	// returned Result's field really is the winning step's.
-	ev, err := evalPeak()
-	if err != nil {
-		return Plan{}, nil, 0, err
-	}
-	// One warm re-solve at the winner for the full field (the search
-	// only retained peaks; the previous solve was usually a neighbour
-	// step, so CG converges in a handful of iterations).
-	res, _, err := s.Solve(ctx, steps[lo].FHz)
-	if err != nil {
-		return Plan{}, nil, 0, err
-	}
+	res := fields[steps[lo].FHz]
+	plan.Feasible, plan.Step, plan.PeakC = true, steps[lo], res.Max()
 	return plan, res, ev, nil
 }
 

@@ -124,17 +124,13 @@ func (p *Planner) NewSession(chip power.Model, chips int, coolant material.Coola
 }
 
 // runSteady is the session's single SolveSteady choke point: it
-// attaches the resolved preconditioner and reports per-solve stats to
-// the planner's OnSolve observer.
+// attaches the resolved preconditioner and reports the solve.
 func (s *Session) runSteady(opt thermal.SolveOptions) ([]float64, error) {
-	opt.Precond = s.prec
 	var stats thermal.SolveStats
-	if opt.Stats == nil {
-		opt.Stats = &stats
-	}
+	opt.Precond, opt.Stats = s.prec, &stats
 	t, err := s.sys.SolveSteady(opt)
-	if err == nil && s.p.OnSolve != nil {
-		s.p.OnSolve(*opt.Stats)
+	if err == nil {
+		s.p.report(stats)
 	}
 	return t, err
 }
@@ -162,7 +158,8 @@ func (s *Session) setPower(dynamicW, staticW float64) error {
 			copy(dst, mBase)
 		}
 	}
-	return s.sys.UpdatePower()
+	s.sys.UpdatePower()
+	return nil
 }
 
 // buildBasis runs the three basis solves of sessionBasis. The base
@@ -200,29 +197,29 @@ func (s *Session) buildBasis(ctx context.Context) error {
 		return err
 	}
 	b.base = base
-	if b.refDyn > 0 {
-		t, err := solve(b.refDyn, 0, s.refShapeGuess(base, func(rb *sessionBasis) ([]float64, float64) {
-			return rb.dyn, b.refDyn / rb.refDyn
-		}))
+	// shape solves one pure power component (dynW or statW watts, the
+	// other zero) and returns its delta field over base; nil when the
+	// chip has no such component. nominal picks the reference basis's
+	// field and magnitude of the same component.
+	shape := func(dynW, statW float64, nominal func(*sessionBasis) ([]float64, float64)) ([]float64, error) {
+		w := dynW + statW
+		if w <= 0 {
+			return nil, nil
+		}
+		t, err := solve(dynW, statW, s.refShapeGuess(base, w, nominal))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		b.dyn = make([]float64, len(t))
 		for i := range t {
-			b.dyn[i] = t[i] - base[i]
+			t[i] -= base[i]
 		}
+		return t, nil
 	}
-	if b.refStat > 0 {
-		t, err := solve(0, b.refStat, s.refShapeGuess(base, func(rb *sessionBasis) ([]float64, float64) {
-			return rb.stat, b.refStat / rb.refStat
-		}))
-		if err != nil {
-			return err
-		}
-		b.stat = make([]float64, len(t))
-		for i := range t {
-			b.stat[i] = t[i] - base[i]
-		}
+	if b.dyn, err = shape(b.refDyn, 0, func(rb *sessionBasis) ([]float64, float64) { return rb.dyn, rb.refDyn }); err != nil {
+		return err
+	}
+	if b.stat, err = shape(0, b.refStat, func(rb *sessionBasis) ([]float64, float64) { return rb.stat, rb.refStat }); err != nil {
+		return err
 	}
 	s.basis = b
 	return nil
@@ -246,19 +243,20 @@ func (s *Session) refBaseGuess() []float64 {
 	return g
 }
 
-// refShapeGuess warm-starts a basis shape solve: the session's own
-// base field plus the nominal reference's delta shape rescaled to this
-// session's reference magnitude. For samples that only perturb the
-// right-hand side (ambient, power scales) the guess is exact up to
-// solver tolerance; for conductance perturbations it is off by the
-// perturbation's few percent — either way CG starts decades below a
-// cold start. pick selects the nominal shape and its rescale factor.
-func (s *Session) refShapeGuess(base []float64, pick func(*sessionBasis) ([]float64, float64)) []float64 {
+// refShapeGuess warm-starts a basis shape solve of w watts: the
+// session's own base field plus the nominal reference's delta shape
+// rescaled to w. For samples that only perturb the right-hand side
+// (ambient, power scales) the guess is exact up to solver tolerance;
+// for conductance perturbations it is off by the perturbation's few
+// percent — either way CG starts decades below a cold start. nominal
+// picks the reference's shape and its magnitude in watts.
+func (s *Session) refShapeGuess(base []float64, w float64, nominal func(*sessionBasis) ([]float64, float64)) []float64 {
 	rb := s.refBasisFields()
 	if rb == nil {
 		return base
 	}
-	shape, f := pick(rb)
+	shape, refW := nominal(rb)
+	f := w / refW
 	if shape == nil || len(shape) != len(base) || f <= 0 || math.IsInf(f, 0) || math.IsNaN(f) {
 		return base
 	}
@@ -362,8 +360,8 @@ func (s *Session) coldSolveAt(ctx context.Context, step power.Step, leakTemp flo
 	// same metrics.
 	var stats thermal.SolveStats
 	res, err := thermal.Solve(model, thermal.SolveOptions{Ctx: ctx, Stats: &stats})
-	if err == nil && s.p.OnSolve != nil {
-		s.p.OnSolve(stats)
+	if err == nil {
+		s.p.report(stats)
 	}
 	return res, err
 }

@@ -273,9 +273,7 @@ func (s *Stream) Next(ctx context.Context) (StreamSample, error) {
 	for die := 0; die < s.cfg.Chips; die++ {
 		copy(s.model.Layers[stack.DieLayer(die)].Power, m)
 	}
-	if err := s.sys.UpdatePower(); err != nil {
-		return StreamSample{}, err
-	}
+	s.sys.UpdatePower()
 	peak, err := s.stepper.Run(ctx, s.cfg.SubSteps)
 	if err != nil {
 		return StreamSample{}, err

@@ -8,6 +8,7 @@ import (
 	"waterimm/internal/core"
 	"waterimm/internal/material"
 	"waterimm/internal/power"
+	"waterimm/internal/thermal"
 )
 
 // auditServiceRequest is the cheapest meaningful audit: one chip, two
@@ -379,5 +380,66 @@ func TestPlanFilmBoilingDegrades(t *testing.T) {
 	}
 	if want := uint64(refRes.CHFViolations()); want == 0 || m.CHFBoundaryCells != want {
 		t.Errorf("chf_boundary_cells = %d, want %d", m.CHFBoundaryCells, want)
+	}
+}
+
+// TestTwoPhaseResolveReportsEveryPass: a plan re-solved past CHF
+// reports each film-boiling pass to /v1/metrics. Its Jacobi solve
+// count must exceed the same plan's single-phase count by exactly the
+// passes of its walk down the VFS ladder, counted here on a bare
+// planner: from the single-phase step down to the first step that
+// holds the threshold under film boiling (or the slowest).
+func TestTwoPhaseResolveReportsEveryPass(t *testing.T) {
+	ctx := context.Background()
+	run := func(scale float64) (*api.PlanResponse, uint64) {
+		e := New(Config{CHFScale: scale})
+		defer e.Close()
+		in, err := e.Submit(&api.PlanRequest{
+			Chip: "lp", Chips: 1, Coolant: "fluorinert",
+			GridNX: 16, GridNY: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := waitDone(t, e, in.ID)
+		if got.State != StateDone {
+			t.Fatalf("state %s, error %q", got.State, got.Error)
+		}
+		var solves uint64
+		if st := e.Metrics().Solver["jacobi"]; st != nil {
+			solves = st.Solves
+		}
+		return got.Result.(*api.PlanResponse), solves
+	}
+	single, singleSolves := run(0)
+	boiled, boiledSolves := run(1e-4)
+	if !single.Feasible || boiled.FilmBoilingCells == 0 {
+		t.Fatalf("want a feasible single-phase plan and a film-boiling one: %+v, %+v", single, boiled)
+	}
+
+	p := core.NewPlanner()
+	p.Params.GridNX, p.Params.GridNY = 16, 16
+	p.Params.CHFScale = 1e-4
+	var passes uint64
+	p.OnSolve = func(thermal.SolveStats) { passes++ }
+	steps := power.LowPower.Steps()
+	for i := len(steps) - 1; i >= 0; i-- {
+		if steps[i].GHz() > single.FrequencyGHz {
+			continue
+		}
+		out, err := p.TwoPhasePeak(ctx, power.LowPower, 1, material.Fluorinert, steps[i].FHz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.PeakC <= p.ThresholdC {
+			break
+		}
+	}
+	if passes < 2 {
+		t.Fatalf("the walk ran %d two-phase passes, want a re-solve", passes)
+	}
+	if boiledSolves != singleSolves+passes {
+		t.Errorf("jacobi solves %d with film boiling, %d without: want %d more (the two-phase passes)",
+			boiledSolves, singleSolves, passes)
 	}
 }

@@ -162,6 +162,8 @@ type retiredAssembly struct {
 // Snapshot is a consistent copy of the metrics registry plus the
 // engine's instantaneous gauges, shaped for JSON and expvar.
 type Snapshot struct {
+	// JobsSubmitted counts every submission attempt, rejected ones and
+	// fan-out cells' queue-full retries included.
 	JobsSubmitted uint64 `json:"jobs_submitted"`
 	JobsDone      uint64 `json:"jobs_done"`
 	JobsFailed    uint64 `json:"jobs_failed"`
@@ -172,7 +174,9 @@ type Snapshot struct {
 	// Robustness counters. JobsShed are accepted jobs dropped at
 	// dequeue after overstaying the queue-wait budget;
 	// QueueFullRejects and OverloadRejects are submissions turned
-	// away at the door (queue at depth / predicted wait over budget).
+	// away at the door (queue at depth / predicted wait over budget);
+	// QueueFullRejects counts every attempt, so a fan-out cell that
+	// retries a full queue counts once per retry.
 	// PanicsRecovered jobs are also counted in JobsFailed;
 	// JobsDeadlineExceeded and JobsShed are not.
 	JobsShed             uint64 `json:"jobs_shed"`
@@ -190,7 +194,9 @@ type Snapshot struct {
 	// from the in-memory LRU, CacheHitsDisk loaded from the persistent
 	// store (and promoted into memory). CacheHits is their sum;
 	// CacheMisses are submissions that found nothing in either tier
-	// and were computed. Deduped submissions count in DedupHits only.
+	// and were admitted to compute (queued, or handed to an
+	// orchestrator); rejected attempts do not count. Deduped
+	// submissions count in DedupHits only.
 	CacheHits     uint64  `json:"cache_hits"`
 	CacheHitsMem  uint64  `json:"cache_hits_mem"`
 	CacheHitsDisk uint64  `json:"cache_hits_disk"`
@@ -280,7 +286,9 @@ type Snapshot struct {
 
 	// Solver maps preconditioner kind to aggregate CG iteration
 	// statistics: "jacobi" and "mg" for every steady solve the planner
-	// ran, "ichol" for every transient stepper sub-step.
+	// ran, two-phase re-solve passes included, "ichol" for every
+	// transient stepper sub-step. The one solve left out is a cosim
+	// job's steady reference (cosim.Result.SteadyPlannerPeakC).
 	Solver map[string]*SolverStats `json:"solver"`
 }
 

@@ -389,3 +389,27 @@ func TestMonteCarloReferenceKeyedByFlip(t *testing.T) {
 			alone.EvalPeakC, after.EvalPeakC)
 	}
 }
+
+// TestMonteCarloQueueFullRetriesAreNotMisses: on a one-slot queue the
+// job's fan-out cells keep hitting a full queue and retrying, yet each
+// computed cell is one cache miss, not one per attempt — cache_misses
+// counts admitted computes, so it equals jobs_done (the computed cells
+// plus the job itself; cells served from cache count in neither).
+func TestMonteCarloQueueFullRetriesAreNotMisses(t *testing.T) {
+	e := New(Config{Workers: 1, QueueDepth: 1})
+	defer e.Close()
+	in, err := e.Submit(mcServiceRequest(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := waitDone(t, e, in.ID); got.State != StateDone {
+		t.Fatalf("state %s, error %q", got.State, got.Error)
+	}
+	m := e.Metrics()
+	t.Logf("jobs_done %d, cache_misses %d, queue_full_rejects %d, jobs_submitted %d",
+		m.JobsDone, m.CacheMisses, m.QueueFullRejects, m.JobsSubmitted)
+	if m.CacheMisses != m.JobsDone {
+		t.Errorf("cache_misses = %d, jobs_done = %d: rejected attempts counted as misses",
+			m.CacheMisses, m.JobsDone)
+	}
+}

@@ -364,7 +364,6 @@ func (e *Engine) submit(req api.Request, internal bool) (*job, JobInfo, error) {
 			return j, j.info(), nil
 		}
 	}
-	e.metrics.add(&e.metrics.s.CacheMisses, 1)
 
 	// Predictive load shedding: once the queue is deep enough that a
 	// new job would wait out its welcome, reject at the door with a
@@ -433,25 +432,26 @@ func (e *Engine) submit(req api.Request, internal bool) (*job, JobInfo, error) {
 		e.metrics.add(&e.metrics.s.StreamJobs, 1)
 		body = func() (any, error) { return e.runStream(j, r) }
 	}
-	if body != nil {
-		e.inflight[key] = j
-		e.orchestrators.Add(1)
-		go e.orchestrate(j, body)
-		return j, j.info(), nil
-	}
-
-	select {
-	case e.queue <- j:
-	default:
-		j.cancel()
-		delete(e.jobs, j.id)
-		e.metrics.add(&e.metrics.s.QueueFullRejects, 1)
-		return nil, JobInfo{}, &OverloadError{
-			Err:        fmt.Errorf("%w (depth %d)", ErrQueueFull, e.cfg.QueueDepth),
-			RetryAfter: e.retryAfterLocked(),
+	if body == nil {
+		select {
+		case e.queue <- j:
+		default:
+			j.cancel()
+			delete(e.jobs, j.id)
+			e.metrics.add(&e.metrics.s.QueueFullRejects, 1)
+			return nil, JobInfo{}, &OverloadError{
+				Err:        fmt.Errorf("%w (depth %d)", ErrQueueFull, e.cfg.QueueDepth),
+				RetryAfter: e.retryAfterLocked(),
+			}
 		}
 	}
+	// Admitted: only now is the submission a miss that will compute.
+	e.metrics.add(&e.metrics.s.CacheMisses, 1)
 	e.inflight[key] = j
+	if body != nil {
+		e.orchestrators.Add(1)
+		go e.orchestrate(j, body)
+	}
 	return j, j.info(), nil
 }
 

@@ -132,7 +132,7 @@ func walkConductances(m *Model, couple func(a, b int, g float64), tie func(a int
 // Assemble builds the system for the model by recording its Structure
 // and replaying it. The returned system is independent of the model's
 // power maps except through Q, so a caller sweeping power levels can
-// rebuild Q cheaply via RefreshQ.
+// rebuild Q cheaply via UpdatePower.
 func Assemble(m *Model) (*System, error) {
 	if err := faultinject.Hit(nil, faultinject.SiteAssemble); err != nil {
 		return nil, fmt.Errorf("thermal: assembly failed: %w", err)
@@ -165,7 +165,7 @@ func (sys *System) finishAssembly(ambient []float64) error {
 	}
 
 	sys.Q = make([]float64, sys.N)
-	sys.RefreshQ(ambient)
+	sys.refreshQ(ambient)
 	// Keep ambient conductances for later Q refreshes.
 	sys.ambientG = ambient
 	// Invert the diagonal once here instead of on every solve: warm
@@ -184,13 +184,9 @@ func (sys *System) finishAssembly(ambient []float64) error {
 // stays valid.
 func (s *System) Model() *Model { return s.model }
 
-// ambientG is stored so RefreshQ can re-fold ambient after a power
-// map change.
-func (s *System) refreshable() bool { return s.ambientG != nil }
-
-// RefreshQ rebuilds the right-hand side from the model's current
+// refreshQ rebuilds the right-hand side from the model's current
 // power maps and the given per-node ambient conductances.
-func (s *System) RefreshQ(ambient []float64) {
+func (s *System) refreshQ(ambient []float64) {
 	m := s.model
 	nc := m.Grid.Cells()
 	for i := range s.Q {
@@ -211,13 +207,7 @@ func (s *System) RefreshQ(ambient []float64) {
 
 // UpdatePower re-folds the right-hand side after the caller mutated
 // the model's layer power maps, without reassembling the matrix.
-func (s *System) UpdatePower() error {
-	if !s.refreshable() {
-		return fmt.Errorf("thermal: system not refreshable")
-	}
-	s.RefreshQ(s.ambientG)
-	return nil
-}
+func (s *System) UpdatePower() { s.refreshQ(s.ambientG) }
 
 // boundaryCells lists the flat indices of a layer's boundary cells.
 func boundaryCells(g Grid) []int {

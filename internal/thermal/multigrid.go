@@ -108,8 +108,8 @@ const mgDenseCap = 8192
 
 // Multigrid returns the system's cached V-cycle preconditioner,
 // building the hierarchy on first use. The hierarchy depends only on
-// the conductance matrix, so it stays valid across RefreshQ /
-// UpdatePower for every solve of the system.
+// the conductance matrix, so it stays valid across UpdatePower for
+// every solve of the system.
 func (s *System) Multigrid() (*Multigrid, error) {
 	if s.mg != nil {
 		return s.mg, nil

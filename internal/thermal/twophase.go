@@ -82,8 +82,8 @@ type TwoPhaseStats struct {
 	// cells whose flux stays above the limit even with the blanket's
 	// degraded film coefficient.
 	Violations int
-	// Iterations is the number of steady solves performed.
-	Iterations int
+	// Passes holds one entry per steady solve performed, in order.
+	Passes []SolveStats
 }
 
 // SolveTwoPhase solves the model with boiling-crisis feedback: solve
@@ -93,17 +93,21 @@ type TwoPhaseStats struct {
 // new cell crosses the limit. Collapses are monotone — a blanket never un-forms within one
 // call — so the loop terminates. The model's FilmScale maps are
 // mutated in place; callers must pass a fresh model, never a pooled or
-// session-shared one.
+// session-shared one. Each pass's solve stats land in stats.Passes
+// (opt.Stats is ignored), the passes completed before an error
+// included.
 func SolveTwoPhase(m *Model, opt SolveOptions) (*Result, TwoPhaseStats, error) {
 	var stats TwoPhaseStats
 	var res *Result
 	for iter := 0; iter < maxTwoPhaseIter; iter++ {
+		var pass SolveStats
+		opt.Stats = &pass
 		r, err := Solve(m, opt)
 		if err != nil {
 			return nil, stats, err
 		}
 		res = r
-		stats.Iterations++
+		stats.Passes = append(stats.Passes, pass)
 		fresh := 0
 		for l := range m.Layers {
 			layer := &m.Layers[l]
