@@ -12,6 +12,7 @@ package waterimm
 // a regression harness for the reproduction itself.
 
 import (
+	"context"
 	"testing"
 
 	"waterimm/internal/coherence"
@@ -373,6 +374,60 @@ func BenchmarkMGKernels(b *testing.B) {
 				k.Run()
 			}
 			b.ReportMetric(float64(sys.N), "nodes")
+		})
+	}
+}
+
+// BenchmarkStepper times one backward-Euler step of the transient
+// stepper (Δt = 5 ms), its IC(0) apply and the shifted operator's
+// matVec: at the transient workload's shape (32×32, two low-power dies,
+// water) and at 64², 128² and 256² under eight dies, the large-grid
+// transients' range. Each step op restores the field reached after a
+// four-step warm-up from ambient, so every op runs the same solve; its
+// ns/op is the time per step.
+func BenchmarkStepper(b *testing.B) {
+	cases := []struct {
+		name        string
+		grid, chips int
+	}{
+		{"grid32x2", 32, 2},
+		{"grid64x8", 64, 8},
+		{"grid128x8", 128, 8},
+		{"grid256x8", 256, 8},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			st, err := thermal.NewStepper(benchPrecondSystem(b, c.grid, c.chips), 5e-3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var iters int
+			st.OnSolve = func(s thermal.SolveStats) { iters += s.Iterations }
+			if _, err := st.Run(ctx, 4); err != nil {
+				b.Fatal(err)
+			}
+			warm := st.Checkpoint()
+			b.Run("step", func(b *testing.B) {
+				iters = 0
+				for i := 0; i < b.N; i++ {
+					if err := st.Restore(warm); err != nil {
+						b.Fatal(err)
+					}
+					if err := st.Step(ctx); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(iters)/float64(b.N), "ichol-iters/step")
+			})
+			for _, k := range st.Kernels() {
+				b.Run(k.Name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						k.Run()
+					}
+					b.ReportMetric(float64(len(warm.T)), "nodes")
+				})
+			}
 		})
 	}
 }

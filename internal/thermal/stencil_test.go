@@ -3,6 +3,7 @@ package thermal
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -85,9 +86,9 @@ func refShifted(a *refCSR, shift []float64) *refCSR {
 	return &c
 }
 
-// refStrictLower is the IC(0) input the stencil's strictLower
-// replaced: the strict lower triangle of a, built as the transpose of
-// the strict upper one, so columns ascend.
+// refStrictLower is the CSR IC(0) input of a reference matrix: the
+// strict lower triangle of a, built as the transpose of the strict
+// upper one, so columns ascend, and the diagonal.
 func refStrictLower(a *refCSR) (lower *csrMat, diag []float64) {
 	n := a.rows
 	upper := &refCSR{rows: n, rowPtr: make([]int32, n+1)}
@@ -104,6 +105,177 @@ func refStrictLower(a *refCSR) (lower *csrMat, diag []float64) {
 	}
 	t := refTranspose(upper, n)
 	return &csrMat{rowPtr: t.rowPtr, colIdx: t.colIdx, val: t.val}, diag
+}
+
+// csrMat is a square sparse matrix in CSR form: the reference IC(0)
+// factor's strict lower triangle.
+type csrMat struct {
+	rowPtr []int32
+	colIdx []int32
+	val    []float64
+}
+
+// strictLower is the CSR IC(0) input of a stencil: the strict lower
+// triangle with ascending columns. A grid row's lower neighbours are
+// its down, south and west couplings, in that column order. An extra
+// row's are built as the transpose of the extras' strict upper
+// entries. Model.Validate keeps every grid coupling positive, so each
+// present neighbour is a stored entry.
+func strictLower(a *stencil) *csrMat {
+	n := len(a.diag)
+	nx, nc := a.nx, a.nx*a.ny
+	grid := a.layers * nc
+	l := &csrMat{rowPtr: make([]int32, n+1)}
+	for r := 0; r < grid; r++ {
+		if r >= nc {
+			l.rowPtr[r+1]++
+		}
+		if r%nc >= nx {
+			l.rowPtr[r+1]++
+		}
+		if r%nx > 0 {
+			l.rowPtr[r+1]++
+		}
+	}
+	for r := 0; r+1 < len(a.xPtr); r++ {
+		for k := a.xPtr[r]; k < a.xPtr[r+1]; k++ {
+			if c := a.xCol[k]; int(c) > r {
+				l.rowPtr[c+1]++
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		l.rowPtr[i+1] += l.rowPtr[i]
+	}
+	l.colIdx = make([]int32, l.rowPtr[n])
+	l.val = make([]float64, l.rowPtr[n])
+	next := append([]int32(nil), l.rowPtr[:n]...)
+	put := func(r, c int, v float64) {
+		l.colIdx[next[r]] = int32(c)
+		l.val[next[r]] = v
+		next[r]++
+	}
+	for r := 0; r < grid; r++ {
+		if r >= nc {
+			put(r, r-nc, a.up[r-nc])
+		}
+		if r%nc >= nx {
+			put(r, r-nx, a.north[r-nx])
+		}
+		if r%nx > 0 {
+			put(r, r-1, a.east[r-1])
+		}
+	}
+	for r := 0; r+1 < len(a.xPtr); r++ {
+		for k := a.xPtr[r]; k < a.xPtr[r+1]; k++ {
+			if c := a.xCol[k]; int(c) > r {
+				put(int(c), r, a.xVal[k])
+			}
+		}
+	}
+	return l
+}
+
+// csrIChol is the IC(0) factor the stencil form replaced, kept as the
+// reference: L's strict lower triangle in CSR, every row updated
+// against every earlier row it shares a column with.
+type csrIChol struct {
+	l    *csrMat
+	invD []float64
+}
+
+// newCSRIChol factors the matrix with strict lower triangle l and
+// diagonal diag, in place of l's values.
+func newCSRIChol(l *csrMat, diag []float64) (*csrIChol, error) {
+	n := len(diag)
+	lPtr, lCol, lVal := l.rowPtr, l.colIdx, l.val
+	ic := &csrIChol{l: l, invD: make([]float64, n)}
+	slot := make([]int32, n)
+	for j := range slot {
+		slot[j] = -1
+	}
+	for i := 0; i < n; i++ {
+		lo, hi := lPtr[i], lPtr[i+1]
+		for p := lo; p < hi; p++ {
+			slot[lCol[p]] = p
+		}
+		d := diag[i]
+		for p := lo; p < hi; p++ {
+			k := lCol[p]
+			v := lVal[p]
+			for q := lPtr[k]; q < lPtr[k+1]; q++ {
+				if sp := slot[lCol[q]]; sp >= 0 {
+					v -= lVal[sp] * lVal[q]
+				}
+			}
+			v *= ic.invD[k]
+			lVal[p] = v
+			d -= v * v
+		}
+		for p := lo; p < hi; p++ {
+			slot[lCol[p]] = -1
+		}
+		if !(d > 0) {
+			return nil, fmt.Errorf("thermal: incomplete Cholesky pivot %g at node %d is not positive; matrix not SPD", d, i)
+		}
+		ic.invD[i] = 1 / math.Sqrt(d)
+	}
+	return ic, nil
+}
+
+// Apply computes z = (L·Lᵀ)⁻¹·r: a row-oriented forward sweep, then a
+// back sweep that walks L's rows as the columns of Lᵀ and scatters
+// each solved value into the lower columns.
+func (ic *csrIChol) Apply(z, r []float64) {
+	l := ic.l
+	for i := range z {
+		v := r[i]
+		for p := l.rowPtr[i]; p < l.rowPtr[i+1]; p++ {
+			v -= l.val[p] * z[l.colIdx[p]]
+		}
+		z[i] = v * ic.invD[i]
+	}
+	for i := len(z) - 1; i >= 0; i-- {
+		zi := z[i] * ic.invD[i]
+		z[i] = zi
+		for p := l.rowPtr[i]; p < l.rowPtr[i+1]; p++ {
+			z[l.colIdx[p]] -= l.val[p] * zi
+		}
+	}
+}
+
+func (ic *csrIChol) Name() string { return "ichol" }
+
+// icholCSR writes a stencil-form factor's strict lower triangle out as
+// CSR in the reference factor's layout.
+func icholCSR(ic *ichol) *refCSR {
+	n := len(ic.invD)
+	nx, nc := ic.nx, ic.nx*ic.ny
+	grid := len(ic.down)
+	c := &refCSR{rows: n, rowPtr: make([]int32, n+1)}
+	add := func(col int, v float64) {
+		c.colIdx = append(c.colIdx, int32(col))
+		c.val = append(c.val, v)
+	}
+	for r := 0; r < n; r++ {
+		if r < grid {
+			if r >= nc {
+				add(r-nc, ic.down[r])
+			}
+			if r%nc >= nx {
+				add(r-nx, ic.south[r])
+			}
+			if r%nx > 0 {
+				add(r-1, ic.west[r])
+			}
+		} else {
+			for p := ic.xPtr[r-grid]; p < ic.xPtr[r-grid+1]; p++ {
+				add(int(ic.xCol[p]), ic.xVal[p])
+			}
+		}
+		c.rowPtr[r+1] = int32(len(c.colIdx))
+	}
+	return c
 }
 
 // stencilCSR writes a stencil out as CSR in the order its kernel sums
@@ -440,11 +612,9 @@ func sameCSR(t *testing.T, what string, got, want *refCSR) {
 	}
 }
 
-// checkKernels compares every kernel of sys, with reference CSR ref,
-// and of its hierarchy mg, built from the system with reference
-// valRef, against the CSR reference; and sys's IC(0)
-// factor against the one the reference's lower triangle gives.
-func checkKernels(t *testing.T, sys *System, ref, valRef *refCSR, mg *Multigrid) {
+// checkKernels compares every kernel of sys and of its hierarchy
+// against the reference CSR ref.
+func checkKernels(t *testing.T, sys *System, ref *refCSR) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	// The System's stencil reproduces the reference row by row.
@@ -455,20 +625,11 @@ func checkKernels(t *testing.T, sys *System, ref, valRef *refCSR, mg *Multigrid)
 	ref.mul(want, x)
 	sameVec(t, "System.MatVec", got, want)
 
-	ic, err := newIChol(strictLower(sys.op), sys.Diag)
+	mg, err := sys.Multigrid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	refLower, refDiag := refStrictLower(ref)
-	wantIC, err := newIChol(refLower, refDiag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCSR(t, "IC(0) factor", &refCSR{rows: sys.N, rowPtr: ic.l.rowPtr, colIdx: ic.l.colIdx, val: ic.l.val},
-		&refCSR{rows: sys.N, rowPtr: wantIC.l.rowPtr, colIdx: wantIC.l.colIdx, val: wantIC.l.val})
-	sameVec(t, "IC(0) inverse diagonal", ic.invD, wantIC.invD)
-
-	levels := refHierarchy(valRef, mg)
+	levels := refHierarchy(ref, mg)
 	for li, l := range mg.levels {
 		rl := levels[li]
 		name := func(k string) string { return fmt.Sprintf("level %d (%d×%d) %s", li, l.nx, l.ny, k) }
@@ -532,16 +693,13 @@ func assembleUnchecked(t *testing.T, m *Model) *System {
 	return sys
 }
 
-// TestStencilKernelsMatchCSR pins the assembled stencil and every
-// stencil kernel — the System and level matVecs and residuals,
-// restriction, prolongation, the line solve, a whole V-cycle and the
-// IC(0) factor — to the CSR assembly and loops they replaced, with ==:
-// each kernel sums every row in the CSR row's order, so solves,
-// iteration counts and goldens cannot move. It covers square, odd,
-// semicoarsened and one-cell-wide grids with and without lumped
-// extras, Structure.Assemble systems and the stepper's shifted copy, at
-// GOMAXPROCS 1 and 2 (the parallel kernels split work differently).
-func TestStencilKernelsMatchCSR(t *testing.T) {
+// forKernelSystems runs check on every system the stencil pins cover,
+// with its reference CSR: square, odd, semicoarsened and
+// one-cell-wide grids with and without lumped extras, assembled by
+// Assemble, by Structure.Assemble and as the stepper's shifted copy,
+// at GOMAXPROCS 1 and 2 (the parallel kernels split work
+// differently).
+func forKernelSystems(t *testing.T, check func(t *testing.T, sys *System, ref *refCSR)) {
 	grids := []struct {
 		name   string
 		nx, ny int
@@ -564,11 +722,7 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 					}
 					sys := assemble(mgStack(g.nx, g.ny, extras))
 					ref := refAssemble(sys.Model())
-					mg, err := sys.Multigrid()
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Run("assemble", func(t *testing.T) { checkKernels(t, sys, ref, ref, mg) })
+					t.Run("assemble", func(t *testing.T) { check(t, sys, ref) })
 
 					if !oneWide {
 						t.Run("structure", func(t *testing.T) {
@@ -581,12 +735,7 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							smg, err := ss.Multigrid()
-							if err != nil {
-								t.Fatal(err)
-							}
-							pertRef := refAssemble(pert)
-							checkKernels(t, ss, pertRef, pertRef, smg)
+							check(t, ss, refAssemble(pert))
 						})
 					}
 					t.Run("shifted", func(t *testing.T) {
@@ -594,22 +743,52 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sh := stp.shifted
 						shift := make([]float64, sys.N)
 						for r, c := range sys.Capacity {
 							shift[r] = c / stp.dt
 						}
-						shRef := refShifted(ref, shift)
-						shmg, err := buildMultigrid(sh)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkKernels(t, sh, shRef, shRef, shmg)
+						check(t, stp.shifted, refShifted(ref, shift))
 					})
 				})
 			}
 		}
 	}
+}
+
+// TestStencilKernelsMatchCSR pins the assembled stencil and every
+// stencil kernel — the System and level matVecs and residuals,
+// restriction, prolongation, the line solve and a whole V-cycle — to
+// the CSR assembly and loops they replaced, with ==: each kernel sums
+// every row in the CSR row's order, so solves, iteration counts and
+// goldens cannot move.
+func TestStencilKernelsMatchCSR(t *testing.T) { forKernelSystems(t, checkKernels) }
+
+// TestICholStencilMatchesCSR pins the stencil-form IC(0) factor and
+// its Apply to the CSR factor and sweeps they replaced, with ==, on
+// every system forKernelSystems covers: every L entry, the inverse
+// diagonal and the output of two applies. TestICholStencilMatchesCSRStream
+// pins a whole co-simulation stream to it.
+func TestICholStencilMatchesCSR(t *testing.T) {
+	forKernelSystems(t, func(t *testing.T, sys *System, ref *refCSR) {
+		ic, err := newIChol(sys.op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := newCSRIChol(refStrictLower(ref))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCSR(t, "IC(0) factor", icholCSR(ic), &refCSR{rows: sys.N, rowPtr: want.l.rowPtr, colIdx: want.l.colIdx, val: want.l.val})
+		sameVec(t, "IC(0) inverse diagonal", ic.invD, want.invD)
+		rng := rand.New(rand.NewSource(11))
+		for k := 0; k < 2; k++ {
+			r := randVec(rng, sys.N)
+			got, wantZ := make([]float64, sys.N), make([]float64, sys.N)
+			ic.Apply(got, r)
+			want.Apply(wantZ, r)
+			sameVec(t, "IC(0) Apply", got, wantZ)
+		}
+	})
 }
 
 // TestEverySystemHasStencil: every System the package builds carries

@@ -27,6 +27,8 @@ import (
 type Stepper struct {
 	sys *System
 	dt  float64
+	// cdt holds each node's C/Δt.
+	cdt []float64
 	// shifted is the system with C/Δt added on the diagonal.
 	shifted *System
 	// prec is the IC(0) factor of shifted; nil selects Jacobi.
@@ -56,18 +58,32 @@ func NewStepper(sys *System, dt float64) (*Stepper, error) {
 			return nil, fmt.Errorf("thermal: invalid capacity %g at node %d", c, i)
 		}
 	}
-	st := &Stepper{sys: sys, dt: dt, T: make([]float64, sys.N)}
+	st := &Stepper{sys: sys, dt: dt, cdt: make([]float64, sys.N), T: make([]float64, sys.N)}
+	for i, c := range sys.Capacity {
+		st.cdt[i] = c / dt
+	}
 	for i := range st.T {
 		st.T[i] = sys.model.AmbientC
 	}
 	st.shifted = st.buildShifted()
-	ic, err := newIChol(strictLower(st.shifted.op), st.shifted.Diag)
+	prec, err := factorStepper(st.shifted.op)
 	if err != nil {
 		return nil, err
 	}
-	st.prec = ic
+	st.prec = prec
 	st.x = make([]float64, sys.N)
 	return st, nil
+}
+
+// factorStepper builds a Stepper's preconditioner from its shifted
+// operator: the IC(0) factor. The package's tests point it at the CSR
+// reference factor to pin whole runs to it.
+var factorStepper = func(a *stencil) (Preconditioner, error) {
+	ic, err := newIChol(a)
+	if err != nil {
+		return nil, err
+	}
+	return ic, nil
 }
 
 // buildShifted copies the system's diagonal and adds C/Δt to each
@@ -82,12 +98,25 @@ func (st *Stepper) buildShifted() *System {
 		model: src.model,
 	}
 	for r := range dst.Diag {
-		dst.Diag[r] += src.Capacity[r] / st.dt
+		dst.Diag[r] += st.cdt[r]
 	}
 	op := *src.op
 	op.diag = dst.Diag
 	dst.op = &op
 	return dst
+}
+
+// Kernels binds the preconditioner apply and the shifted operator's
+// matVec to their own buffers, so benchmarks can time each on its own.
+func (st *Stepper) Kernels() []Kernel {
+	r, z := make([]float64, st.sys.N), make([]float64, st.sys.N)
+	for i := range r {
+		r[i] = float64(i%101) / 101
+	}
+	return []Kernel{
+		{"apply", func() { st.prec.Apply(z, r) }},
+		{"matvec", func() { st.shifted.MatVec(z, r) }},
+	}
 }
 
 // Time returns the simulated time in seconds.
@@ -110,7 +139,7 @@ func (st *Stepper) Time() float64 { return st.time }
 // integration honors cancel/deadline mid-step, not just between steps.
 func (st *Stepper) Step(ctx context.Context) error {
 	for i := range st.shifted.Q {
-		st.shifted.Q[i] = st.sys.Q[i] + st.sys.Capacity[i]/st.dt*st.T[i]
+		st.shifted.Q[i] = st.sys.Q[i] + st.cdt[i]*st.T[i]
 	}
 	var stats SolveStats
 	err := st.shifted.solveCG(SolveOptions{
